@@ -124,7 +124,11 @@ class RegistrationState:
                       point.
     mixing_weights:   (M,) mixture weights, non-negative, summing to 1.
     displacement:     (M, 3) current non-rigid offsets.
-    displacement_cov: (M, M) posterior covariance of the displacement field.
+    displacement_var: (M,) posterior variance of each point's displacement
+                      (the diagonal of the field's posterior covariance),
+                      kept only when params.use_sigma_correction is on,
+                      otherwise None. The full M x M covariance is never
+                      stored.
     sigma2:           residual variance, floored at SIGMA2_FLOOR.
     transform:        current similarity transform.
     moved_source:     (M, 3) source points after displacement + transform.
@@ -136,7 +140,7 @@ class RegistrationState:
     matched_targets: np.ndarray
     mixing_weights: np.ndarray
     displacement: np.ndarray
-    displacement_cov: np.ndarray
+    displacement_var: np.ndarray | None
     sigma2: float
     transform: SimilarityTransform
     moved_source: np.ndarray
@@ -149,13 +153,22 @@ def init_state(
 
     The initial residual variance is gamma times the mean squared
     source/target distance per coordinate, floored at SIGMA2_FLOOR so
-    coincident clouds do not divide by zero.
+    coincident clouds do not divide by zero. The mean over all M x N pairs
+    equals ||mean(y) - mean(x)||^2 + mean ||y - mean(y)||^2
+    + mean ||x - mean(x)||^2, which takes O(M + N). The displacement
+    variance starts at the prior's ones when the correction is on.
     """
     y = source.vertices
     x = target.vertices
     m, n = len(source), len(target)
-    d2 = cdist(y, x, "sqeuclidean")
-    sigma2 = max(params.gamma * float(d2.sum()) / (n * m * 3), SIGMA2_FLOOR)
+    y_bar = y.mean(axis=0)
+    x_bar = x.mean(axis=0)
+    mean_d2 = (
+        float(np.sum((y_bar - x_bar) ** 2))
+        + float(np.sum((y - y_bar) ** 2)) / m
+        + float(np.sum((x - x_bar) ** 2)) / n
+    )
+    sigma2 = max(params.gamma * mean_d2 / 3, SIGMA2_FLOOR)
     return RegistrationState(
         posterior=np.zeros((m, n)),
         source_mass=np.zeros(m),
@@ -163,7 +176,7 @@ def init_state(
         matched_targets=y.copy(),
         mixing_weights=np.full(m, 1.0 / m),
         displacement=np.zeros((m, 3)),
-        displacement_cov=np.eye(m),
+        displacement_var=np.ones(m) if params.use_sigma_correction else None,
         sigma2=sigma2,
         transform=SimilarityTransform.identity(),
         moved_source=y.copy(),
@@ -191,7 +204,7 @@ def e_step(
     phi = state.mixing_weights[:, None] * norm_const * np.exp(-d2 / (2.0 * state.sigma2))
     if params.use_sigma_correction:
         s = state.transform.scale
-        trace_term = s * s * 3.0 * np.diagonal(state.displacement_cov)
+        trace_term = s * s * 3.0 * state.displacement_var
         phi = phi * np.exp(-trace_term / (2.0 * state.sigma2))[:, None]
 
     col = phi.sum(axis=0)
@@ -240,36 +253,47 @@ def update_displacement(
 ) -> RegistrationState:
     """Refit the smooth displacement field to the expected correspondences.
 
-    The covariance (lam * G^-1 + (s^2/sigma2) diag(mass))^-1 is assembled
-    through a Woodbury identity so the Gram matrix is never inverted and the
-    single dense solve stays symmetric positive-definite (its matrix is
-    I + PSD) even when individual masses vanish:
+    The displacement is c * Sigma @ (mass * residual), where the residual
+    pulls each expected target back through the current transform and
+    Sigma = (lam * G^-1 + c diag(mass))^-1 is the field's posterior
+    covariance, c = s^2 / sigma2. Sigma itself is never formed: the Woodbury
+    identity is applied to the right-hand side, so the Gram matrix is never
+    inverted and the one dense solve is symmetric positive-definite (its
+    matrix is I + PSD) even when individual masses vanish:
 
-        Sigma = (G - (c/lam) G S K^-1 S G) / lam,
-        K = I + (c/lam) S G S,  S = diag(sqrt(mass)),  c = s^2 / sigma2.
+        b = G @ (mass * residual),
+        displacement = (c/lam) * (b - (c/lam) G S K^-1 S b),
+        K = I + (c/lam) S G S,  S = diag(sqrt(mass)).
 
-    The displacement is then c * Sigma @ (mass * residual), where the
-    residual pulls each expected target back through the current transform.
+    With the sigma correction on, the same solve also takes S G as M more
+    right-hand-side columns, for the diagonal of Sigma:
+
+        displacement_var = (1 - (c/lam) colsum(S G * K^-1 S G)) / lam.
     """
     y = source.vertices
     m = len(source)
     if gram.size != m:
         raise ShapeMismatchError(f"Gram matrix is {gram.size}x{gram.size}, cloud has {m} points")
     tr = state.transform
-    c = tr.scale * tr.scale / state.sigma2
+    ratio = tr.scale * tr.scale / state.sigma2 / params.lam
     g = gram.values
     root = np.sqrt(state.source_mass)
-    weight = root[:, None] * root[None, :]
-    k = (c / params.lam) * (weight * g)
-    k[np.diag_indices_from(k)] += 1.0
-    scaled = root[:, None] * g
-    solved = solve_spd(k, scaled)
-    cov = (g - (c / params.lam) * (scaled.T @ solved)) / params.lam
-    cov = 0.5 * (cov + cov.T)
+    k = np.outer(root, root)
+    k *= g
+    k *= ratio
+    k.flat[:: m + 1] += 1.0
     residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
-    disp = c * (cov @ (state.source_mass[:, None] * residual))
+    b = g @ (state.source_mass[:, None] * residual)
+    rhs = root[:, None] * b
+    if params.use_sigma_correction:
+        rhs = np.hstack([rhs, root[:, None] * g])
+    solved = solve_spd(k, rhs)
+    disp = ratio * (b - ratio * (g @ (root[:, None] * solved[:, :3])))
+    var = None
+    if params.use_sigma_correction:
+        var = (1.0 - ratio * np.einsum("ij,ij->j", rhs[:, 3:], solved[:, 3:])) / params.lam
     moved = tr.apply(y + disp)
-    return replace(state, displacement=disp, displacement_cov=cov, moved_source=moved)
+    return replace(state, displacement=disp, displacement_var=var, moved_source=moved)
 
 
 def _procrustes_similarity(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None):
@@ -342,7 +366,7 @@ def update_similarity(
     d2 = cdist(moved, x, "sqeuclidean")
     sigma2 = float((state.posterior * d2).sum()) / (3.0 * total)
     if params.use_sigma_correction:
-        sigma2 += scale * scale * 3.0 * float(np.diagonal(state.displacement_cov).mean())
+        sigma2 += scale * scale * 3.0 * float(state.displacement_var.mean())
     sigma2 = max(sigma2, SIGMA2_FLOOR)
     return replace(state, transform=new_tr, moved_source=moved, sigma2=sigma2, displacement=disp)
 

@@ -20,6 +20,7 @@ import argparse
 import csv
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bcpd import RegistrationParams, RegistrationResult, register
@@ -198,8 +199,19 @@ def _params_from_args(args: argparse.Namespace) -> RegistrationParams:
     )
 
 
-def _load_input_cloud(path: str, downsample_to: int, seed: int) -> PointCloud:
-    cloud = load_ply(path)
+def _load_input_cloud(
+    path: str, downsample_to: int, seed: int, loaded: dict | None = None
+) -> PointCloud:
+    """Read a PLY file and subsample it.
+
+    ``loaded`` maps paths to clouds already read; a path missing from it is
+    read and added, so a batch reads each file once.
+    """
+    if loaded is None:
+        loaded = {}
+    if path not in loaded:
+        loaded[path] = load_ply(path)
+    cloud = loaded[path]
     if downsample_to > 0:
         cloud = downsample(cloud, downsample_to, seed)
     return cloud
@@ -265,10 +277,11 @@ def _run_pair(
     params: RegistrationParams,
     downsample_to: int,
     seed: int,
+    loaded: dict | None = None,
 ) -> tuple[PointCloud, RegistrationResult]:
     """Full chain for one pair; returns the morph in original target units."""
-    source = _load_input_cloud(source_path, downsample_to, seed)
-    target = _load_input_cloud(target_path, downsample_to, seed)
+    source = _load_input_cloud(source_path, downsample_to, seed, loaded)
+    target = _load_input_cloud(target_path, downsample_to, seed, loaded)
     result = register(source, target, params)
     aligned = aligned_colored_source(
         result.source_normalized, result.transform, result.displacement
@@ -317,8 +330,8 @@ def _read_pairing_csv(path) -> list[dict]:
                     "alpha": alpha,
                 }
             )
-    morph_ids = [p["morph_id"] for p in pairs]
-    duplicates = sorted({m for m in morph_ids if morph_ids.count(m) > 1})
+    counts = Counter(p["morph_id"] for p in pairs)
+    duplicates = sorted(m for m, count in counts.items() if count > 1)
     if duplicates:
         raise ValueError(f"{path}: duplicate morph_id values {duplicates}")
     return pairs
@@ -329,6 +342,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     params = _params_from_args(args)
     pairs = _read_pairing_csv(args.pairs)
+    # Each subject is read once and dropped after the last valid pair that
+    # uses it, so only subjects a later pair still needs stay in memory.
+    last_use = {}
+    for index, pair in enumerate(pairs):
+        if pair["subject_a"] != pair["subject_b"]:
+            last_use[pair["subject_a"]] = last_use[pair["subject_b"]] = index
+    loaded = {}
     manifest_rows = []
     for index, pair in enumerate(pairs):
         alpha = pair["alpha"] if pair["alpha"] is not None else args.alpha
@@ -349,7 +369,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         try:
             blended, result = _run_pair(
                 pair["subject_a"], pair["subject_b"], alpha, params,
-                args.downsample, args.seed + index,
+                args.downsample, args.seed + index, loaded,
             )
             save_ply(blended, out / f"{pair['morph_id']}.ply")
             row["status"] = "converged" if result.converged else "not_converged"
@@ -357,6 +377,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except (CloudMorphError, OSError, ValueError) as exc:
             row["status"] = "error"
             row["detail"] = str(exc)
+        for path in (pair["subject_a"], pair["subject_b"]):
+            if last_use[path] == index:
+                loaded.pop(path, None)
         manifest_rows.append(row)
     with (out / "manifest.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(

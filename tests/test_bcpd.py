@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
 from cloudmorph import (
@@ -17,9 +18,11 @@ from cloudmorph import (
     init_state,
     normalize,
     register,
+    solve_spd,
     update_displacement,
     update_similarity,
 )
+from cloudmorph import bcpd
 from cloudmorph.bcpd import SIGMA2_FLOOR
 from cloudmorph.errors import (
     DegenerateGeometryError,
@@ -103,9 +106,11 @@ class TestInitState:
         npt.assert_array_equal(state.transform.rotation, np.eye(3))
         npt.assert_array_equal(state.transform.translation, np.zeros(3))
         npt.assert_array_equal(state.displacement, np.zeros((10, 3)))
-        npt.assert_array_equal(state.displacement_cov, np.eye(10))
+        assert state.displacement_var is None
         npt.assert_array_equal(state.moved_source, source.vertices)
         npt.assert_allclose(state.mixing_weights, 0.1)
+        corrected = init_state(source, target, RegistrationParams(use_sigma_correction=True))
+        npt.assert_array_equal(corrected.displacement_var, np.ones(10))
 
     def test_gamma_scales(self):
         source = cloud_of([[1.0, 0.0, 0.0]])
@@ -113,6 +118,14 @@ class TestInitState:
         s1 = init_state(source, target, RegistrationParams(gamma=1.0))
         s2 = init_state(source, target, RegistrationParams(gamma=2.5))
         assert s2.sigma2 == pytest.approx(2.5 * s1.sigma2, rel=1e-14)
+
+    def test_sigma2_equals_mean_pairwise_distance(self):
+        rng = np.random.default_rng(3)
+        source = cloud_of(rng.normal(size=(50, 3)) + [0.4, -1.0, 2.0])
+        target = cloud_of(1.7 * rng.normal(size=(70, 3)))
+        params = RegistrationParams(gamma=1.3)
+        expected = params.gamma * cdist(source.vertices, target.vertices, "sqeuclidean").mean() / 3
+        assert init_state(source, target, params).sigma2 == pytest.approx(expected, rel=1e-12)
 
 
 class TestEStep:
@@ -233,9 +246,10 @@ class TestUpdateDisplacement:
 
     def test_diagonal_gram_closed_form(self):
         # Oracle: with G = I the update decouples per point into
-        # (c nu_m / (lam + c nu_m)) * r_m, c = s^2 / sigma2.
+        # (c nu_m / (lam + c nu_m)) * r_m, c = s^2 / sigma2, with posterior
+        # variance 1 / (lam + c nu_m).
         source = cloud_of([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        params = RegistrationParams(lam=7.0)
+        params = RegistrationParams(lam=7.0, use_sigma_correction=True)
         gram = GramMatrix(np.eye(2), beta=params.beta)
         scale, sigma2 = 1.3, 0.25
         trans = np.array([0.1, -0.2, 0.3])
@@ -254,8 +268,64 @@ class TestUpdateDisplacement:
         c = scale**2 / sigma2
         expected = (c * mass / (params.lam + c * mass))[:, None] * residual
         npt.assert_allclose(state.displacement, expected, rtol=0, atol=1e-12)
-        expected_cov = np.diag(1.0 / (params.lam + c * mass))
-        npt.assert_allclose(state.displacement_cov, expected_cov, rtol=0, atol=1e-12)
+        expected_var = 1.0 / (params.lam + c * mass)
+        npt.assert_allclose(state.displacement_var, expected_var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    def test_matches_dense_covariance_reference(self, use_sigma_correction):
+        rng = np.random.default_rng(60)
+        source = cloud_of(make_normalized_points(60, rng))
+        params = RegistrationParams(lam=2.0, use_sigma_correction=use_sigma_correction)
+        gram = build_gram(source.vertices, params.beta)
+        mass = rng.uniform(0.0, 1.0, size=60)
+        mass[rng.choice(60, size=8, replace=False)] = 0.0
+        rot = Rotation.from_euler("xyz", [10, -20, 30], degrees=True).as_matrix()
+        tr = SimilarityTransform(1.2, rot, [0.1, -0.3, 0.2])
+        state = replace(
+            init_state(source, cloud_of([[0.0, 0.0, 0.0]]), params),
+            transform=tr,
+            sigma2=0.05,
+            source_mass=mass,
+            matched_targets=source.vertices + rng.normal(0.0, 0.2, size=(60, 3)),
+        )
+        out = update_displacement(state, source, gram, params)
+
+        # Dense reference: the full posterior covariance of the field.
+        g = gram.values
+        c = tr.scale**2 / state.sigma2
+        root = np.sqrt(mass)
+        sg = root[:, None] * g
+        k = np.eye(60) + (c / params.lam) * (root[:, None] * g * root[None, :])
+        cov = (g - (c / params.lam) * (sg.T @ np.linalg.solve(k, sg))) / params.lam
+        residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale
+        residual -= source.vertices
+        expected = c * (cov @ (mass[:, None] * residual))
+        npt.assert_allclose(out.displacement, expected, rtol=0, atol=1e-10)
+        npt.assert_allclose(out.moved_source, tr.apply(source.vertices + expected), atol=1e-10)
+        if use_sigma_correction:
+            npt.assert_allclose(out.displacement_var, np.diag(cov), rtol=0, atol=1e-10)
+        else:
+            assert out.displacement_var is None
+
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    def test_single_solve_per_update(self, use_sigma_correction, monkeypatch):
+        # the covariance is never formed: one solve with a 3-column
+        # right-hand side, plus M columns for the variances when requested
+        rng = np.random.default_rng(61)
+        source = cloud_of(make_normalized_points(20, rng))
+        target = cloud_of(make_normalized_points(25, rng))
+        params = RegistrationParams(use_sigma_correction=use_sigma_correction)
+        gram = build_gram(source.vertices, params.beta)
+        state = e_step(init_state(source, target, params), source, target, params)
+        shapes = []
+
+        def recording_solve(a, b):
+            shapes.append((a.shape, b.shape))
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(bcpd, "solve_spd", recording_solve)
+        update_displacement(state, source, gram, params)
+        assert shapes == [((20, 20), (20, 23 if use_sigma_correction else 3))]
 
     def test_shape_mismatch(self):
         source = cloud_of([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -346,7 +416,10 @@ class TestUpdateSimilarity:
 
 class TestIterationInvariants:
     def test_state_invariants_over_iterations(self):
-        params = RegistrationParams()
+        for use_sigma_correction in (False, True):
+            self.check_invariants(RegistrationParams(use_sigma_correction=use_sigma_correction))
+
+    def check_invariants(self, params):
         rng = np.random.default_rng(42)
         src_pts = make_normalized_points(60, rng)
         tgt_pts = make_normalized_points(70, rng)
@@ -369,9 +442,13 @@ class TestIterationInvariants:
             assert state.mixing_weights.sum() == pytest.approx(1.0, abs=1e-10)
 
             state = update_displacement(state, source, gram, params)
-            cov = state.displacement_cov
-            assert np.max(np.abs(cov - cov.T)) <= 1e-12
-            assert np.linalg.eigvalsh(cov).min() >= -1e-8
+            var = state.displacement_var
+            if params.use_sigma_correction:
+                # posterior variances of the field, at most the prior's 1/lam
+                assert np.all(var > 0.0)
+                assert np.all(var <= (1.0 + 1e-12) / params.lam)
+            else:
+                assert var is None
 
             state = update_similarity(state, source, target, params)
             rot = state.transform.rotation

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudmorph import load_ply, save_ply
+from cloudmorph import cli, load_ply, save_ply
 from conftest import make_cloud
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -191,6 +191,34 @@ class TestPipelineCommand:
             assert result.returncode == 0, result.stderr
         for name in ("morph_ab.ply", "morph_cd.ply", "manifest.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_each_subject_loaded_once(self, cloud_files, tmp_path, monkeypatch):
+        a, b, c, d = (str(cloud_files[k]) for k in "abcd")
+        pairs = [(a, b), (a, c), (b, c), (a, a), (c, d)]
+        rows = [f"{s},{t},m{i}" for i, (s, t) in enumerate(pairs)]
+        pairs_csv = self.write_pairs(tmp_path, cloud_files, rows)
+        loads = []
+
+        def counting_load_ply(path):
+            loads.append(str(path))
+            return load_ply(path)
+
+        monkeypatch.setattr(cli, "load_ply", counting_load_ply)
+        out = tmp_path / "batch"
+        code = cli.main(
+            ["pipeline", str(pairs_csv), "--out", str(out), "--downsample", "50", "--seed", "9"]
+        )
+        assert code == 0
+        assert sorted(loads) == sorted([a, b, c, d])
+        # each morph equals a single-pair run with the pipeline's per-pair seed
+        for index, (source, target) in enumerate(pairs):
+            if source == target:
+                continue
+            single = tmp_path / f"single{index}"
+            cli.main(["morph", source, target, "--out", str(single), "--downsample", "50",
+                      "--seed", str(9 + index)])
+            (produced,) = single.glob("*.ply")
+            assert produced.read_bytes() == (out / f"m{index}.ply").read_bytes()
 
 
 class TestEvalCommand:
