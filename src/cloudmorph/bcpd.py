@@ -5,7 +5,9 @@ source points pushed through a kernel-smoothed displacement field and a
 similarity transform. Fitting alternates three closed-form updates until
 the residual variance stalls:
 
-1. posterior match probabilities between moved source and target points,
+1. the match probabilities between moved source and target points, kept
+   only as their sufficient statistics (row and column sums and the
+   probability-weighted target positions and colors),
 2. the displacement field (regularized by the source Gram matrix),
 3. the scale/rotation/translation via a weighted Procrustes fit, followed
    by a refresh of the residual variance.
@@ -24,15 +26,18 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .cloudio import NormalizationRecord, PointCloud, denormalize, normalize
-from .errors import (
-    DegenerateGeometryError,
-    NumericalUnderflowError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateGeometryError, ShapeMismatchError
 from .kernel import GramMatrix, build_gram, solve_spd
 
 SIGMA2_FLOOR = 1e-8
 MASS_EPS = 1e-12
+# Elements of the (targets x sources) array the E-step works on at a time.
+E_STEP_CHUNK = 1 << 16
+# Shifted log-densities are raised to this floor before exponentiating.
+# exp(-600) is invisible next to each column's largest term, exp(0) = 1,
+# and keeps exp and the matrix product off their subnormal and underflow
+# paths, which run one to two orders of magnitude slower.
+LOG_FLOOR = -600.0
 
 
 @dataclass(frozen=True)
@@ -115,13 +120,18 @@ class RegistrationParams:
 class RegistrationState:
     """All per-iteration variables, for M source and N target points.
 
-    posterior:        (M, N) match probabilities; column sums <= 1, the
-                      remainder being outlier mass.
-    source_mass:      (M,) row sums of posterior (matched mass per source
-                      point).
-    target_mass:      (N,) column sums of posterior.
-    matched_targets:  (M, 3) posterior-expected target position per source
-                      point.
+    The M x N match probabilities P (column sums <= 1, the remainder being
+    outlier mass) are never stored; the state keeps only the sufficient
+    statistics every update reads.
+
+    source_mass:      (M,) row sums of P (matched mass per source point).
+    target_mass:      (N,) column sums of P.
+    matched_targets:  (M, 3) P-weighted mean target position per source
+                      point, P @ x / source_mass.
+    matched_colors:   (M, 3) P-weighted mean target color per source point,
+                      P @ colors / source_mass.
+                      Points with (near) zero matched mass keep their own
+                      moved position and color in both.
     mixing_weights:   (M,) mixture weights, non-negative, summing to 1.
     displacement:     (M, 3) current non-rigid offsets.
     displacement_var: (M,) posterior variance of each point's displacement
@@ -134,10 +144,10 @@ class RegistrationState:
     moved_source:     (M, 3) source points after displacement + transform.
     """
 
-    posterior: np.ndarray
     source_mass: np.ndarray
     target_mass: np.ndarray
     matched_targets: np.ndarray
+    matched_colors: np.ndarray
     mixing_weights: np.ndarray
     displacement: np.ndarray
     displacement_var: np.ndarray | None
@@ -170,10 +180,10 @@ def init_state(
     )
     sigma2 = max(params.gamma * mean_d2 / 3, SIGMA2_FLOOR)
     return RegistrationState(
-        posterior=np.zeros((m, n)),
         source_mass=np.zeros(m),
         target_mass=np.zeros(n),
         matched_targets=y.copy(),
+        matched_colors=source.colors.copy(),
         mixing_weights=np.full(m, 1.0 / m),
         displacement=np.zeros((m, 3)),
         displacement_var=np.ones(m) if params.use_sigma_correction else None,
@@ -189,31 +199,31 @@ def e_step(
     target: PointCloud,
     params: RegistrationParams,
 ) -> RegistrationState:
-    """Update match probabilities and the quantities derived from them.
+    """Update the match statistics and the mixing weights.
 
     Each moved source point carries an isotropic Gaussian of variance
     sigma2; with omega > 0, an outlier component uniform over the target
-    bounding box absorbs the remaining column mass. Source points with
-    (near) zero matched mass keep their own moved position as the expected
-    target.
+    bounding box absorbs the remaining column mass. The match probability
+    of source m for target n is P[m, n] = exp(a[m, n]) / (sum_k exp(a[k, n])
+    + exp(b)), with log-densities
+
+        a[m, n] = log w_m - 1.5 log(2 pi sigma2) - |x_n - y'_m|^2 / (2 sigma2)
+                  [- 3 s^2 var_m / (2 sigma2) with the sigma correction],
+        b = log(omega / ((1 - omega) volume)), or -inf when omega is 0.
+
+    Targets are visited in chunks of about E_STEP_CHUNK / M points; each
+    column is shifted by its largest log-density (and raised to at least
+    LOG_FLOOR) before exponentiating, so no column can underflow to zero and
+    no M x N array is built. Only the sufficient statistics are accumulated:
+    source_mass = P @ 1, target_mass = P.T @ 1, and P @ [x | colors], which
+    give the matched targets and colors. Source points with (near) zero
+    matched mass keep their own moved position and color.
     """
     x = target.vertices
-    m = len(source)
-    d2 = cdist(state.moved_source, x, "sqeuclidean")
-    norm_const = (2.0 * math.pi * state.sigma2) ** -1.5
-    phi = state.mixing_weights[:, None] * norm_const * np.exp(-d2 / (2.0 * state.sigma2))
-    if params.use_sigma_correction:
-        s = state.transform.scale
-        trace_term = s * s * 3.0 * state.displacement_var
-        phi = phi * np.exp(-trace_term / (2.0 * state.sigma2))[:, None]
-
-    col = phi.sum(axis=0)
+    y = state.moved_source
+    m, n = len(source), len(target)
     if params.omega == 0.0:
-        if np.any(col == 0.0):
-            raise NumericalUnderflowError(
-                "all mixture densities vanished for at least one target point"
-            )
-        posterior = phi / col[None, :]
+        log_outlier = -math.inf
     else:
         extent = x.max(axis=0) - x.min(axis=0)
         volume = float(np.prod(extent))
@@ -221,26 +231,52 @@ def e_step(
             raise DegenerateGeometryError(
                 "target bounding box has zero volume; cannot place the outlier component"
             )
-        den = (1.0 - params.omega) * col + params.omega / volume
-        posterior = (1.0 - params.omega) * phi / den[None, :]
+        log_outlier = math.log(params.omega / ((1.0 - params.omega) * volume))
+    log_weight = np.log(state.mixing_weights) - 1.5 * math.log(2.0 * math.pi * state.sigma2)
+    if params.use_sigma_correction:
+        s = state.transform.scale
+        log_weight -= s * s * 3.0 * state.displacement_var / (2.0 * state.sigma2)
 
-    source_mass = posterior.sum(axis=1)
-    target_mass = posterior.sum(axis=0)
+    # columns: P @ x, P @ colors, P @ 1
+    moments = np.zeros((m, 7))
+    target_mass = np.empty(n)
+    features = np.hstack([x, target.colors, np.ones((n, 1))])
+    # distances between points scaled by 1 / sqrt(2 sigma2) are d^2 / (2 sigma2)
+    unit = 1.0 / math.sqrt(2.0 * state.sigma2)
+    x_scaled = x * unit
+    y_scaled = y * unit
+    step = max(1, E_STEP_CHUNK // m)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        a = cdist(x_scaled[lo:hi], y_scaled, "sqeuclidean")
+        np.subtract(log_weight, a, out=a)
+        top = np.maximum(a.max(axis=1), log_outlier)
+        a -= top[:, None]
+        np.maximum(a, LOG_FLOOR, out=a)
+        np.exp(a, out=a)
+        col_mass = a.sum(axis=1)
+        den = col_mass + np.exp(log_outlier - top)
+        target_mass[lo:hi] = col_mass / den
+        moments += a.T @ (features[lo:hi] / den[:, None])
+
+    source_mass = moments[:, 6].copy()
     total = float(source_mass.sum())
     weak = source_mass < MASS_EPS
     safe = np.where(weak, 1.0, source_mass)
-    matched = (posterior @ x) / safe[:, None]
-    matched[weak] = state.moved_source[weak]
+    matched_targets = moments[:, :3] / safe[:, None]
+    matched_targets[weak] = y[weak]
+    matched_colors = moments[:, 3:6] / safe[:, None]
+    matched_colors[weak] = source.colors[weak]
     if math.isfinite(params.kappa):
         mixing = (params.kappa + source_mass) / (params.kappa * m + total)
     else:
         mixing = np.full(m, 1.0 / m)
     return replace(
         state,
-        posterior=posterior,
         source_mass=source_mass,
         target_mass=target_mass,
-        matched_targets=matched,
+        matched_targets=matched_targets,
+        matched_colors=matched_colors,
         mixing_weights=mixing,
     )
 
@@ -332,6 +368,12 @@ def update_similarity(
     The deformed source (source + displacement) is matched against the
     expected targets with the per-point masses as weights; the moved source
     and the residual variance are then refreshed under the new transform.
+    The variance needs sum_mn P[m, n] |x_n - y'_m|^2 over the moved source
+    y', which expands into the E-step's sufficient statistics, so no
+    distance is recomputed:
+
+        sum_n target_mass_n |x_n|^2 - 2 sum_m y'_m . (P @ x)_m
+        + sum_m source_mass_m |y'_m|^2,  P @ x = source_mass * matched_targets.
 
     The decomposition of the total map into displacement and transform is
     then re-gauged: any similarity component left inside the displacement
@@ -363,8 +405,12 @@ def update_similarity(
 
     new_tr = SimilarityTransform(scale, rot, trans)
     moved = new_tr.apply(y + disp)
-    d2 = cdist(moved, x, "sqeuclidean")
-    sigma2 = float((state.posterior * d2).sum()) / (3.0 * total)
+    residual = (
+        float(state.target_mass @ np.einsum("ij,ij->i", x, x))
+        - 2.0 * float(np.einsum("ij,ij->", moved, mass[:, None] * state.matched_targets))
+        + float(mass @ np.einsum("ij,ij->i", moved, moved))
+    )
+    sigma2 = residual / (3.0 * total)
     if params.use_sigma_correction:
         sigma2 += scale * scale * 3.0 * float(state.displacement_var.mean())
     sigma2 = max(sigma2, SIGMA2_FLOOR)

@@ -29,10 +29,6 @@ class NotPositiveDefiniteError(CloudMorphError):
     """Matrix is not positive definite, even after diagonal jitter."""
 
 
-class NumericalUnderflowError(CloudMorphError):
-    """Every mixture density underflowed to zero for some target point."""
-
-
 class ShapeMismatchError(CloudMorphError):
     """Array dimensions do not agree with the cloud they describe."""
 

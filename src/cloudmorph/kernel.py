@@ -10,6 +10,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import NotPositiveDefiniteError
 
+# Elements of the row panel the symmetry check of solve_spd compares at a time.
+SYMMETRY_PANEL = 1 << 16
+
 
 def gaussian_kernel(a, b, beta: float) -> float:
     """exp(-||a - b||^2 / (2 beta^2)), in (0, 1]; equals 1 at zero distance."""
@@ -72,6 +75,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     1e-9 * trace(A) / M is added and the factorization retried once; a
     second failure raises :class:`NotPositiveDefiniteError`. The returned X
     satisfies ||A X - B||_F / ||B||_F <= 1e-8 for well-posed systems.
+
+    A is rejected as asymmetric when max|A - A.T| > 1e-10 * max(1, max|A|).
+    The check compares the upper triangle with the lower one in row panels
+    of about SYMMETRY_PANEL elements, so it builds no M x M temporary.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -79,9 +86,14 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"B has {b.shape[0]} rows, A is {a.shape[0]}x{a.shape[1]}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-10 * scale:
-        raise ValueError("A is not symmetric")
+    m = a.shape[0]
+    bound = 1e-10 * max(1.0, float(a.max()), -float(a.min()))
+    rows = max(1, SYMMETRY_PANEL // m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        gap = a[lo:hi, lo:] - a[lo:, lo:hi].T
+        if max(float(gap.max()), -float(gap.min())) > bound:
+            raise ValueError("A is not symmetric")
     try:
         factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError:

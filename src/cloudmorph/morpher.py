@@ -1,10 +1,11 @@
 """Build a blended morph cloud from a completed registration.
 
 The morph inherits the source cardinality: for every source point, the
-registration's posterior supplies an expected matching position and color
-on the target side, and geometry and color are blended with the same
-weight. This keeps the blend well-defined even when the two clouds have
-different point counts.
+registration state supplies an expected matching position and color on the
+target side (the match-probability-weighted means the E-step accumulates,
+``matched_targets`` and ``matched_colors``), and geometry and color are
+blended with the same weight. This keeps the blend well-defined even when
+the two clouds have different point counts.
 """
 
 from __future__ import annotations
@@ -49,22 +50,20 @@ def correspondence_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected matching target position and color for every source point.
 
-    Positions come straight from the registration state; colors are the
-    match-probability-weighted mean of the target colors. Source points
-    with (near) zero matched mass fall back to the target vertex nearest
-    their moved position, ties broken by lowest index, for both position
-    and color.
+    Both come straight from the registration state: ``matched_targets``
+    and ``matched_colors``, the match-probability-weighted means of the
+    target positions and colors from the last E-step. Source points with
+    (near) zero matched mass fall back to the target vertex nearest their
+    moved position, ties broken by lowest index, for both position and
+    color.
     """
-    posterior = state.posterior
-    if posterior.shape[1] != len(target):
+    if len(state.target_mass) != len(target):
         raise ShapeMismatchError(
-            f"posterior has {posterior.shape[1]} target columns, cloud has {len(target)}"
+            f"state has {len(state.target_mass)} target masses, cloud has {len(target)}"
         )
-    mass = state.source_mass
-    weak = mass < WEAK_MASS
-    safe = np.where(weak, 1.0, mass)
+    weak = state.source_mass < WEAK_MASS
     coords = state.matched_targets.copy()
-    colors = (posterior @ target.colors) / safe[:, None]
+    colors = state.matched_colors.copy()
     if np.any(weak):
         d2 = cdist(state.moved_source[weak], target.vertices, "sqeuclidean")
         nearest = d2.argmin(axis=1)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,11 +26,7 @@ from cloudmorph import (
 )
 from cloudmorph import bcpd
 from cloudmorph.bcpd import SIGMA2_FLOOR
-from cloudmorph.errors import (
-    DegenerateGeometryError,
-    NumericalUnderflowError,
-    ShapeMismatchError,
-)
+from cloudmorph.errors import DegenerateGeometryError, ShapeMismatchError
 from conftest import make_cloud, make_normalized_points, rms
 
 
@@ -134,23 +132,27 @@ class TestEStep:
         target = cloud_of([[0.5, 0.5, 0.5]])
         params = RegistrationParams(omega=0.0)
         state = e_step(init_state(source, target, params), source, target, params)
-        npt.assert_allclose(state.posterior, [[1.0]])
+        npt.assert_allclose(state.target_mass, [1.0])
         npt.assert_allclose(state.source_mass, [1.0])
         npt.assert_allclose(state.matched_targets, target.vertices)
+        npt.assert_allclose(state.matched_colors, target.colors)
 
     def test_symmetric_sources_split_evenly(self):
         source = cloud_of([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         target = cloud_of([[0.0, 0.0, 0.0]])
         params = RegistrationParams(omega=0.0)
         state = e_step(init_state(source, target, params), source, target, params)
-        npt.assert_allclose(state.posterior, [[0.5], [0.5]], atol=1e-15)
+        npt.assert_allclose(state.source_mass, [0.5, 0.5], atol=1e-15)
+        npt.assert_allclose(state.target_mass, [1.0], atol=1e-15)
 
     def test_known_two_by_two_posterior(self):
         # Frozen from an independent scalar-arithmetic evaluation of the
         # density and posterior formulas (sigma2=1, omega=0.1, uniform
         # mixing weights, outlier density 1/0.324).
         source = cloud_of([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        target = cloud_of([[0.1, 0.2, 0.3], [1.0, 0.8, 0.9]])
+        target = PointCloud(
+            [[0.1, 0.2, 0.3], [1.0, 0.8, 0.9]], [[0.9, 0.1, 0.2], [0.1, 0.6, 0.8]], "t"
+        )
         params = RegistrationParams(omega=0.1)
         state = replace(init_state(source, target, params), sigma2=1.0)
         state = e_step(state, source, target, params)
@@ -160,7 +162,11 @@ class TestEStep:
                 [0.031293800569338656, 0.08079597051105845],
             ]
         )
-        npt.assert_allclose(state.posterior, expected_posterior, rtol=0, atol=1e-15)
+        # the posterior itself is not stored; its color-weighted row means are
+        expected_colors = (expected_posterior @ target.colors) / expected_posterior.sum(
+            axis=1, keepdims=True
+        )
+        npt.assert_allclose(state.matched_colors, expected_colors, rtol=0, atol=1e-15)
         npt.assert_allclose(
             state.source_mass,
             [0.10130560790403026, 0.11208977108039711],
@@ -181,13 +187,125 @@ class TestEStep:
         )
         npt.assert_allclose(state.matched_targets, expected_matched, rtol=0, atol=1e-14)
 
-    def test_underflow_with_zero_omega(self):
+    def test_zero_omega_far_target_keeps_full_column(self):
+        # every density of the far target underflows in the linear domain;
+        # shifted by the column's largest log-density, the column keeps its mass
         source = cloud_of([[0.0, 0.0, 0.0]])
         target = cloud_of([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
         params = RegistrationParams(omega=0.0)
         state = replace(init_state(source, target, params), sigma2=1e-6)
-        with pytest.raises(NumericalUnderflowError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = e_step(state, source, target, params)
+        npt.assert_array_equal(state.target_mass, [1.0, 1.0])
+        for values in (
+            state.source_mass,
+            state.matched_targets,
+            state.matched_colors,
+            state.mixing_weights,
+        ):
+            assert np.all(np.isfinite(values))
+
+    def test_far_target_goes_to_outlier(self):
+        source = cloud_of([[0.0, 0.0, 0.0]])
+        target = cloud_of([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]])
+        params = RegistrationParams(omega=0.1)
+        state = replace(init_state(source, target, params), sigma2=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = e_step(state, source, target, params)
+        assert state.target_mass[0] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= state.target_mass[1] < 1e-12
+        npt.assert_allclose(state.matched_targets, target.vertices[:1], atol=1e-12)
+        assert np.all(np.isfinite(state.matched_colors))
+
+    @pytest.mark.parametrize("sigma2", [0.02, 1e-3])
+    @pytest.mark.parametrize("omega", [0.0, 0.1])
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    def test_streamed_matches_dense_reference(
+        self, omega, use_sigma_correction, sigma2, monkeypatch
+    ):
+        # Every target lies near a moved source, so the linear-domain reference
+        # below keeps a non-zero sum in every row and column; at sigma2 = 1e-3
+        # most shifted log-densities still lie below bcpd.LOG_FLOOR.
+        rng = np.random.default_rng(700)
+        m, n = 60, 700
+        source = cloud_of(make_normalized_points(m, rng))
+        moved = source.vertices + rng.normal(0.0, 0.05, size=(m, 3))
+        target_points = moved[rng.integers(m, size=n)] + rng.normal(0.0, 0.02, size=(n, 3))
+        target = PointCloud(target_points, rng.uniform(size=(n, 3)), "t")
+        params = RegistrationParams(
+            omega=omega, kappa=3.0, use_sigma_correction=use_sigma_correction
+        )
+        rot = Rotation.from_euler("xyz", [5, -10, 15], degrees=True).as_matrix()
+        state = replace(
+            init_state(source, target, params),
+            transform=SimilarityTransform(1.1, rot, [0.05, -0.02, 0.03]),
+            moved_source=moved,
+            mixing_weights=rng.dirichlet(np.ones(m)),
+            sigma2=sigma2,
+        )
+        if use_sigma_correction:
+            # the field's variances lie between 1 / (lam + s^2 / sigma2) and 1 / lam
+            c = state.transform.scale**2 / sigma2
+            var = 1.0 / (params.lam + c * rng.uniform(0.0, 1.0, size=m))
+            state = replace(state, displacement_var=var)
+        cdist_calls = []
+
+        def counting_cdist(*args, **kwargs):
+            cdist_calls.append(args[0].shape)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(bcpd, "cdist", counting_cdist)
+        monkeypatch.setattr(bcpd, "E_STEP_CHUNK", 250 * m)
+        out = e_step(state, source, target, params)
+        assert len(cdist_calls) >= 3
+
+        # Dense reference: the full M x N posterior in the linear domain.
+        x = target.vertices
+        d2 = cdist(state.moved_source, x, "sqeuclidean")
+        phi = state.mixing_weights[:, None] * (2.0 * math.pi * state.sigma2) ** -1.5
+        phi = phi * np.exp(-d2 / (2.0 * state.sigma2))
+        if use_sigma_correction:
+            trace = state.transform.scale**2 * 3.0 * state.displacement_var
+            phi = phi * np.exp(-trace / (2.0 * state.sigma2))[:, None]
+        volume = float(np.prod(x.max(axis=0) - x.min(axis=0)))
+        den = (1.0 - omega) * phi.sum(axis=0) + omega / volume
+        posterior = (1.0 - omega) * phi / den[None, :]
+        nu = posterior.sum(axis=1)
+        assert nu.min() > 1e-6  # no weak points: every row is a posterior mean
+        npt.assert_allclose(out.source_mass, nu, rtol=0, atol=1e-12)
+        npt.assert_allclose(out.target_mass, posterior.sum(axis=0), rtol=0, atol=1e-12)
+        npt.assert_allclose(out.matched_targets, posterior @ x / nu[:, None], rtol=0, atol=1e-12)
+        npt.assert_allclose(
+            out.matched_colors, posterior @ target.colors / nu[:, None], rtol=0, atol=1e-12
+        )
+
+        # the variance refresh needs no distances beyond the E-step's statistics
+        monkeypatch.setattr(bcpd, "cdist", None)
+        gram = build_gram(source.vertices, params.beta)
+        out = update_displacement(out, source, gram, params)
+        out = update_similarity(out, source, target, params)
+        residual = (posterior * cdist(out.moved_source, x, "sqeuclidean")).sum()
+        expected = residual / (3.0 * posterior.sum())
+        if use_sigma_correction:
+            expected += out.transform.scale**2 * 3.0 * out.displacement_var.mean()
+        assert out.sigma2 == pytest.approx(expected, rel=1e-10)
+
+    def test_e_step_memory_stays_below_quarter_posterior(self):
+        rng = np.random.default_rng(20000)
+        m, n = 200, 20000
+        source = cloud_of(make_normalized_points(m, rng))
+        target = cloud_of(make_normalized_points(n, rng))
+        params = RegistrationParams()
+        state = init_state(source, target, params)
+        tracemalloc.start()
+        try:
             e_step(state, source, target, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 4
 
     def test_weak_mass_falls_back_to_moved_source(self):
         source = cloud_of([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]])
@@ -344,7 +462,6 @@ def exact_correspondence_state(source, target_points, params):
         state,
         source_mass=np.ones(m),
         target_mass=np.ones(m),
-        posterior=np.eye(m),
         matched_targets=np.asarray(target_points, dtype=float),
     )
 
@@ -429,15 +546,10 @@ class TestIterationInvariants:
         state = init_state(source, target, params)
         for _ in range(10):
             state = e_step(state, source, target, params)
-            assert np.all(state.posterior >= 0.0)
-            assert np.all(state.posterior <= 1.0)
-            assert np.all(state.posterior.sum(axis=0) <= 1.0 + 1e-10)
-            npt.assert_allclose(
-                state.source_mass, state.posterior.sum(axis=1), rtol=0, atol=1e-10
-            )
-            npt.assert_allclose(
-                state.target_mass, state.posterior.sum(axis=0), rtol=0, atol=1e-10
-            )
+            assert np.all(state.source_mass >= 0.0)
+            assert np.all(state.target_mass >= 0.0)
+            assert np.all(state.target_mass <= 1.0 + 1e-10)
+            assert abs(state.source_mass.sum() - state.target_mass.sum()) <= 1e-10
             assert np.all(state.mixing_weights >= 0.0)
             assert state.mixing_weights.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -528,7 +640,7 @@ class TestRegister:
         npt.assert_array_equal(r1.transform.rotation, r2.transform.rotation)
         npt.assert_array_equal(r1.transform.translation, r2.transform.translation)
         assert r1.transform.scale == r2.transform.scale
-        npt.assert_array_equal(r1.state.posterior, r2.state.posterior)
+        npt.assert_array_equal(r1.state.matched_colors, r2.state.matched_colors)
 
     def test_aligned_source_matches_state(self):
         source = make_cloud(60, seed=10, cloud_id="a")

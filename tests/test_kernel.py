@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cloudmorph import GramMatrix, build_gram, gaussian_kernel, solve_spd
+from cloudmorph import GramMatrix, build_gram, gaussian_kernel, kernel, solve_spd
 from cloudmorph.errors import NotPositiveDefiniteError
 
 
@@ -113,3 +113,20 @@ class TestSolveSpd:
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             solve_spd(a, np.ones(2))
+
+    def test_asymmetry_in_last_panel_rejected(self):
+        # the check runs over row panels; one entry in the last of several
+        # panels, off by twice the tolerance, must still be caught
+        rng = np.random.default_rng(600)
+        m = 600
+        assert m > 2 * (kernel.SYMMETRY_PANEL // m)
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        a = (q * rng.uniform(1.0, 5.0, size=m)) @ q.T
+        a = 0.5 * (a + a.T)
+        scale = max(1.0, float(np.max(np.abs(a))))
+        within = a.copy()
+        within[m - 1, m - 2] += 0.5e-10 * scale
+        solve_spd(within, np.ones(m))
+        a[m - 1, m - 2] += 2e-10 * scale
+        with pytest.raises(ValueError):
+            solve_spd(a, np.ones(m))

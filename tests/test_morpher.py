@@ -21,18 +21,22 @@ from conftest import make_cloud
 
 
 def state_with(source, target, posterior):
+    """State holding the E-step statistics of the given match probabilities."""
     posterior = np.asarray(posterior, dtype=float)
     state = init_state(source, target, RegistrationParams())
     mass = posterior.sum(axis=1)
-    safe = np.where(mass < 1e-12, 1.0, mass)
+    weak = mass < 1e-12
+    safe = np.where(weak, 1.0, mass)
     matched = (posterior @ target.vertices) / safe[:, None]
-    matched[mass < 1e-12] = state.moved_source[mass < 1e-12]
+    matched[weak] = state.moved_source[weak]
+    colors = (posterior @ target.colors) / safe[:, None]
+    colors[weak] = source.colors[weak]
     return replace(
         state,
-        posterior=posterior,
         source_mass=mass,
         target_mass=posterior.sum(axis=0),
         matched_targets=matched,
+        matched_colors=colors,
     )
 
 
