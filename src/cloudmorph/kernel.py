@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import NotPositiveDefiniteError
 
-# Elements of the row panel the symmetry check of solve_spd compares at a time.
+# Elements of the row panel _max_asymmetry compares at a time.
 SYMMETRY_PANEL = 1 << 16
 
 
@@ -22,6 +22,22 @@ def gaussian_kernel(a, b, beta: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     d2 = float(np.sum((a - b) ** 2))
     return float(np.exp(-d2 / (2.0 * beta * beta)))
+
+
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max|A - A.T| of a square matrix, without an M x M temporary.
+
+    The upper triangle is compared with the lower one in row panels of about
+    SYMMETRY_PANEL elements.
+    """
+    m = a.shape[0]
+    rows = max(1, SYMMETRY_PANEL // m)
+    worst = 0.0
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        gap = a[lo:hi, lo:] - a[lo:, lo:hi].T
+        worst = max(worst, float(gap.max()), -float(gap.min()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -41,7 +57,7 @@ class GramMatrix:
             raise ValueError(f"Gram matrix must be square, got shape {v.shape}")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if v.size and np.max(np.abs(v - v.T)) > 1e-12:
+        if v.size and _max_asymmetry(v) > 1e-12:
             raise ValueError("Gram matrix must be symmetric within 1e-12")
         if v.size and np.max(np.abs(np.diagonal(v) - 1.0)) > 1e-12:
             raise ValueError("Gram matrix must have a unit diagonal")
@@ -61,9 +77,10 @@ def build_gram(points, beta: float) -> GramMatrix:
         raise ValueError(f"points must have shape (M, 3) with M >= 1, got {pts.shape}")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    d2 = cdist(pts, pts, "sqeuclidean")
-    values = np.exp(-d2 / (2.0 * beta * beta))
-    values = 0.5 * (values + values.T)
+    # cdist's squared distances are exactly symmetric, and so is their exp
+    values = cdist(pts, pts, "sqeuclidean")
+    np.divide(values, -2.0 * beta * beta, out=values)
+    np.exp(values, out=values)
     np.fill_diagonal(values, 1.0)
     return GramMatrix(values, beta)
 
@@ -77,8 +94,6 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     satisfies ||A X - B||_F / ||B||_F <= 1e-8 for well-posed systems.
 
     A is rejected as asymmetric when max|A - A.T| > 1e-10 * max(1, max|A|).
-    The check compares the upper triangle with the lower one in row panels
-    of about SYMMETRY_PANEL elements, so it builds no M x M temporary.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -86,14 +101,8 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"B has {b.shape[0]} rows, A is {a.shape[0]}x{a.shape[1]}")
-    m = a.shape[0]
-    bound = 1e-10 * max(1.0, float(a.max()), -float(a.min()))
-    rows = max(1, SYMMETRY_PANEL // m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        gap = a[lo:hi, lo:] - a[lo:, lo:hi].T
-        if max(float(gap.max()), -float(gap.min())) > bound:
-            raise ValueError("A is not symmetric")
+    if _max_asymmetry(a) > 1e-10 * max(1.0, float(a.max()), -float(a.min())):
+        raise ValueError("A is not symmetric")
     try:
         factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError:

@@ -35,6 +35,53 @@ def cloud_of(points, cloud_id="c"):
     return PointCloud(points, np.full_like(points, 0.5), cloud_id)
 
 
+def clustered_e_step_input(sigma2, offset=0.0):
+    """Clusters of 5 sources, about sqrt(sigma2) apart, on a unit-radius cloud.
+
+    Targets lie near the sources, so each target's posterior is spread over
+    its cluster. Coordinates lie on a 2^-40 grid, so adding an offset below
+    2^10 moves the clouds exactly.
+    """
+    rng = np.random.default_rng(900)
+    m, n = 200, 400
+    centers = np.repeat(make_normalized_points(m // 5, rng), 5, axis=0)
+    y = centers + math.sqrt(sigma2) * rng.normal(size=(m, 3))
+    x = y[rng.integers(m, size=n)] + math.sqrt(sigma2) * rng.normal(size=(n, 3))
+    y, x = (np.round(p * 2.0**40) / 2.0**40 + offset for p in (y, x))
+    source = cloud_of(y, "s")
+    target = PointCloud(x, rng.uniform(size=(n, 3)), "t")
+    params = RegistrationParams(omega=0.1, kappa=3.0)
+    state = replace(
+        init_state(source, target, params),
+        sigma2=sigma2,
+        mixing_weights=rng.dirichlet(np.ones(m)),
+    )
+    return state, source, target, params
+
+
+def log_domain_reference(state, target, params):
+    """(source_mass, target_mass, matched_targets) of the E-step, with the
+    log-densities taken from exact coordinate differences (cdist)."""
+    x = target.vertices
+    volume = float(np.prod(x.max(axis=0) - x.min(axis=0)))
+    b = math.log(params.omega / ((1.0 - params.omega) * volume))
+    a = np.log(state.mixing_weights)[:, None] - 1.5 * math.log(2.0 * math.pi * state.sigma2)
+    a = a - cdist(state.moved_source, x, "sqeuclidean") / (2.0 * state.sigma2)
+    top = np.maximum(a.max(axis=0), b)
+    p = np.exp(np.maximum(a - top, bcpd.LOG_FLOOR))
+    posterior = p / (p.sum(axis=0) + np.exp(b - top))
+    nu = posterior.sum(axis=1)
+    return nu, posterior.sum(axis=0), posterior @ x / nu[:, None]
+
+
+def gemm_rounding_unit(state, target):
+    """eps (max |x_n - center|^2 + max |y'_m - center|^2) / (2 sigma2), center
+    the target centroid: the E-step's stated log-density rounding error."""
+    center = target.vertices.mean(axis=0)
+    r2 = sum(np.sum((p - center) ** 2, axis=1).max() for p in (target.vertices, state.moved_source))
+    return np.finfo(float).eps * r2 / (2.0 * state.sigma2)
+
+
 class TestSimilarityTransform:
     def test_identity(self):
         tr = SimilarityTransform.identity()
@@ -250,16 +297,13 @@ class TestEStep:
             c = state.transform.scale**2 / sigma2
             var = 1.0 / (params.lam + c * rng.uniform(0.0, 1.0, size=m))
             state = replace(state, displacement_var=var)
-        cdist_calls = []
-
-        def counting_cdist(*args, **kwargs):
-            cdist_calls.append(args[0].shape)
-            return cdist(*args, **kwargs)
-
-        monkeypatch.setattr(bcpd, "cdist", counting_cdist)
         monkeypatch.setattr(bcpd, "E_STEP_CHUNK", 250 * m)
+        assert math.ceil(n / (bcpd.E_STEP_CHUNK // m)) >= 3
         out = e_step(state, source, target, params)
-        assert len(cdist_calls) >= 3
+        monkeypatch.setattr(bcpd, "E_STEP_CHUNK", m * n)
+        whole = e_step(state, source, target, params)
+        for field in ("source_mass", "target_mass", "matched_targets", "matched_colors"):
+            npt.assert_allclose(getattr(out, field), getattr(whole, field), rtol=1e-14, atol=1e-14)
 
         # Dense reference: the full M x N posterior in the linear domain.
         x = target.vertices
@@ -281,8 +325,8 @@ class TestEStep:
             out.matched_colors, posterior @ target.colors / nu[:, None], rtol=0, atol=1e-12
         )
 
-        # the variance refresh needs no distances beyond the E-step's statistics
-        monkeypatch.setattr(bcpd, "cdist", None)
+        # neither the E-step nor the variance refresh computes pairwise distances
+        assert not hasattr(bcpd, "cdist")
         gram = build_gram(source.vertices, params.beta)
         out = update_displacement(out, source, gram, params)
         out = update_similarity(out, source, target, params)
@@ -291,6 +335,43 @@ class TestEStep:
         if use_sigma_correction:
             expected += out.transform.scale**2 * 3.0 * out.displacement_var.mean()
         assert out.sigma2 == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-6, SIGMA2_FLOOR])
+    def test_gemm_log_densities_within_rounding_bound(self, sigma2):
+        state, source, target, params = clustered_e_step_input(sigma2)
+        out = e_step(state, source, target, params)
+        nu, nu_t, matched = log_domain_reference(state, target, params)
+        assert nu.min() > 1e-3 and nu_t.min() > 0.5  # every sum is a sizeable mass
+        # a log-density error e gives P a relative error of at most about 2e;
+        # the rest of the factor 4 covers the reference's own rounding
+        bound = 4.0 * gemm_rounding_unit(state, target)
+        assert np.max(np.abs(out.source_mass - nu) / nu) <= bound
+        assert np.max(np.abs(out.target_mass - nu_t) / nu_t) <= bound
+        extent = float(np.ptp(target.vertices, axis=0).max())
+        npt.assert_allclose(out.matched_targets, matched, rtol=0, atol=bound * extent)
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-6, SIGMA2_FLOOR])
+    def test_offset_clouds_match_centered_clouds(self, sigma2):
+        # the expansion runs on clouds centered on the target centroid, so an
+        # offset of 1e3 (|x|^2 ~ 1e6 uncentered) adds no rounding error
+        offset = 1e3
+        state, source, target, params = clustered_e_step_input(sigma2)
+        far_state, far_source, far_target, _ = clustered_e_step_input(sigma2, offset)
+        npt.assert_array_equal(far_target.vertices - offset, target.vertices)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = e_step(state, source, target, params)
+            far = e_step(far_state, far_source, far_target, params)
+        # each result lies within the rounding bound of the exact one
+        bound = 2 * 4.0 * gemm_rounding_unit(state, target)
+        for field in ("source_mass", "target_mass"):
+            ref = getattr(near, field)
+            assert np.max(np.abs(getattr(far, field) - ref) / ref) <= bound
+        extent = float(np.ptp(target.vertices, axis=0).max())
+        npt.assert_allclose(
+            far.matched_targets - offset, near.matched_targets, rtol=0, atol=bound * extent
+        )
+        npt.assert_allclose(far.matched_colors, near.matched_colors, rtol=0, atol=bound)
 
     def test_e_step_memory_stays_below_quarter_posterior(self):
         rng = np.random.default_rng(20000)

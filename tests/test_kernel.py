@@ -66,6 +66,26 @@ class TestBuildGram:
         eigs = np.linalg.eigvalsh(gram.values)
         assert eigs.min() >= -1e-8
 
+    @pytest.mark.parametrize("m", [2, 300, 1000])
+    def test_exactly_symmetric(self, m):
+        rng = np.random.default_rng(m)
+        gram = build_gram(rng.normal(size=(m, 3)), beta=0.3)
+        assert np.array_equal(gram.values, gram.values.T)
+
+    def test_asymmetry_in_last_panel_rejected(self):
+        # the Gram check shares solve_spd's panel-wise comparison; one entry in
+        # the last of several panels, off by twice the tolerance, must be caught
+        m = 600
+        assert m > 2 * (kernel.SYMMETRY_PANEL // m)
+        values = build_gram(np.random.default_rng(601).normal(size=(m, 3)), beta=0.3).values
+        within = values.copy()
+        within[m - 1, m - 2] += 0.5e-12
+        GramMatrix(within, beta=0.3)
+        beyond = values.copy()
+        beyond[m - 1, m - 2] += 2e-12
+        with pytest.raises(ValueError):
+            GramMatrix(beyond, beta=0.3)
+
     def test_invariants_validated(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ValueError):
