@@ -11,16 +11,18 @@ Subcommands:
 - ``quadrants``: export the per-record quadrant scatter only.
 
 A flat ``key=value`` config file can preload any flag; explicit flags win.
-Every run is deterministic given its inputs, flags, and seed.
+A key is the long flag without ``--``, with ``-`` read as ``_`` (``max_iters``
+for ``--max-iters``); on/off flags take yes/no words. Every run is
+deterministic given its inputs, flags, and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from .bcpd import RegistrationParams, RegistrationResult, register
@@ -40,23 +42,6 @@ from .morpher import MorphConfig, aligned_colored_source, correspondence_targets
 
 _DEFAULTS = RegistrationParams()
 
-# config key -> (argparse dest, parser)
-_CONFIG_KEYS = {
-    "beta": ("beta", float),
-    "lambda": ("lam", float),
-    "omega": ("omega", float),
-    "gamma": ("gamma", float),
-    "kappa": ("kappa", float),
-    "tol": ("tol", float),
-    "max_iters": ("max_iters", int),
-    "alpha": ("alpha", float),
-    "downsample": ("downsample", int),
-    "seed": ("seed", int),
-    "fmr": ("fmr", float),
-    "sigma_correction": ("sigma_correction", None),  # parsed as bool below
-    "out": ("out", str),
-}
-
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
@@ -70,12 +55,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean from {text!r}")
 
 
-def load_config(path) -> dict:
+def _config_keys(subparsers: dict) -> dict:
+    """Config key -> argparse action, for every long flag of every
+    subcommand except ``--help`` and ``--config``."""
+    keys = {}
+    for subparser in subparsers.values():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag not in ("--help", "--config"):
+                    keys.setdefault(flag[2:].replace("-", "_"), action)
+    return keys
+
+
+def load_config(path, subparsers: dict) -> dict:
     """Parse a flat key=value file into argparse defaults.
 
-    Blank lines and lines starting with '#' are ignored; unknown keys are
-    an error so typos fail loudly.
+    ``subparsers`` maps command names to their parsers, as
+    :func:`build_parser` returns them; each value is parsed by its flag's
+    own type. Blank lines and lines starting with '#' are ignored; unknown
+    keys are an error so typos fail loudly.
     """
+    keys = _config_keys(subparsers)
     defaults = {}
     for line_num, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -85,15 +85,16 @@ def load_config(path) -> dict:
             raise ValueError(f"{path}: line {line_num}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"{path}: line {line_num}: unknown config key {key!r}")
-        dest, caster = _CONFIG_KEYS[key]
-        defaults[dest] = _parse_bool(value) if caster is None else caster(value)
+        action = keys[key]
+        parse = _parse_bool if action.nargs == 0 else (action.type or str)
+        defaults[action.dest] = parse(value.strip())
     return defaults
 
 
 def _add_registration_flags(parser: argparse.ArgumentParser) -> None:
+    # dests are RegistrationParams field names, except downsample and seed
     parser.add_argument("--beta", type=float, default=_DEFAULTS.beta,
                         help="Gaussian kernel bandwidth (normalized units)")
     parser.add_argument("--lambda", dest="lam", type=float, default=_DEFAULTS.lam,
@@ -106,10 +107,10 @@ def _add_registration_flags(parser: argparse.ArgumentParser) -> None:
                         help="mixing-weight concentration; inf keeps weights uniform")
     parser.add_argument("--tol", type=float, default=_DEFAULTS.tol,
                         help="relative variance change that declares convergence")
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=_DEFAULTS.max_iters,
+    parser.add_argument("--max-iters", type=int, default=_DEFAULTS.max_iters,
                         help="iteration cap")
-    parser.add_argument("--sigma-correction", dest="sigma_correction", action="store_true",
-                        default=False,
+    parser.add_argument("--sigma-correction", dest="use_sigma_correction",
+                        action="store_true", default=_DEFAULTS.use_sigma_correction,
                         help="include the posterior-covariance correction term")
     parser.add_argument("--downsample", type=int, default=2000,
                         help="random subsample size per cloud; 0 keeps all points")
@@ -187,16 +188,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _params_from_args(args: argparse.Namespace) -> RegistrationParams:
-    return RegistrationParams(
-        beta=args.beta,
-        lam=args.lam,
-        omega=args.omega,
-        gamma=args.gamma,
-        kappa=args.kappa,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        use_sigma_correction=args.sigma_correction,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(RegistrationParams)}
+    return RegistrationParams(**values)
+
+
+def _outcome(result: RegistrationResult) -> tuple[str, str, int]:
+    """(manifest status, wording on stdout, exit code) of a registration.
+
+    A run that stops at the iteration cap still writes its outputs, but
+    ``register`` and ``morph`` exit 2 and the manifest says so.
+    """
+    if result.converged:
+        return "converged", "converged", 0
+    return "not_converged", "did not converge", 2
 
 
 def _load_input_cloud(
@@ -217,57 +221,42 @@ def _load_input_cloud(
     return cloud
 
 
-def _write_transform_csv(result: RegistrationResult, path: Path) -> None:
-    rot = result.transform.rotation
-    trans = result.transform.translation
+def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["s", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
-             "t1", "t2", "t3"]
-        )
-        writer.writerow(
-            [repr(float(result.transform.scale))]
-            + [repr(float(v)) for v in rot.reshape(-1)]
-            + [repr(float(v)) for v in trans]
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_displacements_csv(result: RegistrationResult, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["vx", "vy", "vz"])
-        for row in result.displacement.tolist():
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _write_normalization_csv(result: RegistrationResult, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["cloud", "cx", "cy", "cz", "scale"])
-        for name, record in (("source", result.source_record), ("target", result.target_record)):
-            writer.writerow(
-                [name]
-                + [repr(float(v)) for v in record.centroid]
-                + [repr(float(record.scale))]
-            )
+def _reprs(values) -> list[str]:
+    return [repr(float(v)) for v in values]
 
 
 def cmd_register(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = _params_from_args(args)
     source = _load_input_cloud(args.source, args.downsample, args.seed)
     target = _load_input_cloud(args.target, args.downsample, args.seed)
     result = register(source, target, params)
-    _write_transform_csv(result, out / "transform.csv")
-    _write_displacements_csv(result, out / "displacements.csv")
-    _write_normalization_csv(result, out / "normalization.csv")
+    transform = result.transform
+    _write_csv(
+        out / "transform.csv",
+        ["s", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33", "t1", "t2", "t3"],
+        [_reprs([transform.scale, *transform.rotation.reshape(-1), *transform.translation])],
+    )
+    _write_csv(out / "displacements.csv", ["vx", "vy", "vz"],
+               [_reprs(row) for row in result.displacement.tolist()])
+    _write_csv(
+        out / "normalization.csv",
+        ["cloud", "cx", "cy", "cz", "scale"],
+        [[name, *_reprs([*record.centroid, record.scale])]
+         for name, record in (("source", result.source_record), ("target", result.target_record))],
+    )
     save_ply(result.aligned_source(), out / "aligned_source.ply")
-    status = "converged" if result.converged else "did not converge"
-    print(f"registration {status} after {result.iterations} iterations "
+    _, said, code = _outcome(result)
+    print(f"registration {said} after {result.iterations} iterations "
           f"(residual variance {result.state.sigma2:.3e})")
-    return 0 if result.converged else 2
+    return code
 
 
 def _run_pair(
@@ -292,17 +281,15 @@ def _run_pair(
 
 
 def cmd_morph(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = _params_from_args(args)
     blended, result = _run_pair(
         args.source, args.target, args.alpha, params, args.downsample, args.seed
     )
-    target_file = out / f"{blended.id}.ply"
+    target_file = Path(args.out) / f"{blended.id}.ply"
     save_ply(blended, target_file)
-    status = "converged" if result.converged else "did not converge"
-    print(f"{target_file} ({status} after {result.iterations} iterations)")
-    return 0 if result.converged else 2
+    _, said, code = _outcome(result)
+    print(f"{target_file} ({said} after {result.iterations} iterations)")
+    return code
 
 
 def _read_pairing_csv(path) -> list[dict]:
@@ -337,9 +324,13 @@ def _read_pairing_csv(path) -> list[dict]:
     return pairs
 
 
+_MANIFEST_COLUMNS = (
+    "morph_id", "subject_a", "subject_b", "alpha", "status", "iterations", "detail"
+)
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = _params_from_args(args)
     pairs = _read_pairing_csv(args.pairs)
     # Each subject is read once and dropped after the last valid pair that
@@ -350,21 +341,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             last_use[pair["subject_a"]] = last_use[pair["subject_b"]] = index
     loaded = {}
     manifest_rows = []
+    done = 0
     for index, pair in enumerate(pairs):
         alpha = pair["alpha"] if pair["alpha"] is not None else args.alpha
-        row = {
-            "morph_id": pair["morph_id"],
-            "subject_a": pair["subject_a"],
-            "subject_b": pair["subject_b"],
-            "alpha": repr(float(alpha)),
-            "status": "",
-            "iterations": "",
-            "detail": "",
-        }
+        row = dict.fromkeys(_MANIFEST_COLUMNS, "")
+        row.update(pair, alpha=repr(float(alpha)))
+        manifest_rows.append(row)
         if pair["subject_a"] == pair["subject_b"]:
             row["status"] = "invalid"
             row["detail"] = "subject paths are identical"
-            manifest_rows.append(row)
             continue
         try:
             blended, result = _run_pair(
@@ -372,44 +357,37 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 args.downsample, args.seed + index, loaded,
             )
             save_ply(blended, out / f"{pair['morph_id']}.ply")
-            row["status"] = "converged" if result.converged else "not_converged"
+            row["status"] = _outcome(result)[0]
             row["iterations"] = str(result.iterations)
+            done += 1
         except (CloudMorphError, OSError, ValueError) as exc:
             row["status"] = "error"
             row["detail"] = str(exc)
         for path in (pair["subject_a"], pair["subject_b"]):
             if last_use[path] == index:
                 loaded.pop(path, None)
-        manifest_rows.append(row)
-    with (out / "manifest.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=["morph_id", "subject_a", "subject_b", "alpha", "status",
-                        "iterations", "detail"],
-        )
-        writer.writeheader()
-        writer.writerows(manifest_rows)
-    done = sum(1 for r in manifest_rows if r["status"] in ("converged", "not_converged"))
+    _write_csv(out / "manifest.csv", _MANIFEST_COLUMNS, [row.values() for row in manifest_rows])
     print(f"generated {done}/{len(pairs)} morphs into {out}")
     return 0
 
 
-def _thresholds_from_nonmated(records, nonmated, fmr: float):
+def _scores_and_thresholds(args: argparse.Namespace) -> tuple[list, list]:
+    """Score records, and one threshold per system at ``--fmr`` from its
+    non-mated scores."""
+    records = read_scores_csv(args.scores)
+    nonmated = read_nonmated_csv(args.nonmated)
     thresholds = []
     for frs_id in sorted({r.frs_id for r in records}):
         if frs_id not in nonmated:
             raise ValueError(f"no non-mated scores for frs_id {frs_id!r}")
-        thresholds.append(threshold_at_fmr(nonmated[frs_id], fmr, frs_id=frs_id))
-    return thresholds
+        thresholds.append(threshold_at_fmr(nonmated[frs_id], args.fmr, frs_id=frs_id))
+    return records, thresholds
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    records = read_scores_csv(args.scores)
-    nonmated = read_nonmated_csv(args.nonmated)
+    records, thresholds = _scores_and_thresholds(args)
     ftar = read_ftar_csv(args.ftar) if args.ftar else FtarTable()
-    thresholds = _thresholds_from_nonmated(records, nonmated, args.fmr)
     report = build_report(records, thresholds, ftar)
     write_report_csv(report, out / "report.csv")
     write_scatter_csv(records, thresholds, out / "quadrants.csv")
@@ -423,12 +401,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_quadrants(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    records = read_scores_csv(args.scores)
-    nonmated = read_nonmated_csv(args.nonmated)
-    thresholds = _thresholds_from_nonmated(records, nonmated, args.fmr)
-    write_scatter_csv(records, thresholds, out / "quadrants.csv")
+    records, thresholds = _scores_and_thresholds(args)
+    write_scatter_csv(records, thresholds, Path(args.out) / "quadrants.csv")
     report = build_report(records, thresholds, FtarTable())
     for frs_id in sorted(report.quadrant_counts):
         counts = report.quadrant_counts[frs_id]
@@ -455,7 +429,7 @@ def main(argv=None) -> int:
     known, _ = prescan.parse_known_args(argv)
     if known.config:
         try:
-            defaults = load_config(known.config)
+            defaults = load_config(known.config, subparsers)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -464,6 +438,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except (CloudMorphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

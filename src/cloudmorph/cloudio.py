@@ -9,7 +9,6 @@ read: the whole pipeline operates on point sets only.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,12 +232,14 @@ def _read_ascii_vertices(body: bytes, elements, path: Path) -> np.ndarray:
         if name == "vertex":
             names = _check_vertex_props(props, path)
             rows = lines[cursor : cursor + count]
-            if len(rows) < count:
+            # loadtxt would skip a blank row and drop the last vertex unnoticed
+            found = sum(1 for row in rows if row.strip())
+            if found < count:
                 raise MalformedHeaderError(
-                    f"{path}: expected {count} vertex rows, found {len(rows)}"
+                    f"{path}: expected {count} vertex rows, found {found}"
                 )
             try:
-                data = np.loadtxt(io.StringIO("\n".join(rows)), dtype=np.float64, ndmin=2)
+                data = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
             except ValueError as exc:
                 raise MalformedHeaderError(f"{path}: unparseable vertex row ({exc})") from exc
             if data.shape[1] != len(props):

@@ -52,7 +52,12 @@ class GramMatrix:
     beta: float
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64, copy=True)
+        v = self.values
+        # keep an owned read-only array (as build_gram hands over); copy any
+        # other, so that later writes by the caller cannot reach the matrix
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.flags.owndata and not v.flags.writeable):
+            v = np.array(v, dtype=np.float64, copy=True)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {v.shape}")
         if self.beta <= 0:
@@ -82,6 +87,7 @@ def build_gram(points, beta: float) -> GramMatrix:
     np.divide(values, -2.0 * beta * beta, out=values)
     np.exp(values, out=values)
     np.fill_diagonal(values, 1.0)
+    values.setflags(write=False)
     return GramMatrix(values, beta)
 
 

@@ -263,7 +263,8 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
     counts (for two-subject records) into one report.
 
     Per-system values ignore failure-to-acquire by definition; the
-    cross-system value honours the supplied table.
+    cross-system value honours the supplied table. Records of more than two
+    subjects count in both values but in no quadrant.
     """
     records = list(records)
     if not records:
@@ -280,7 +281,8 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
         per_frs[frs_id] = gmap(subset, [threshold_map[frs_id]], FtarTable())
         counts = {q: 0 for q in QUADRANTS}
         for rec in subset:
-            counts[quadrant_classify(rec, threshold_map[frs_id])] += 1
+            if len(rec.subject_scores) == 2:
+                counts[quadrant_classify(rec, threshold_map[frs_id])] += 1
         quadrant_counts[frs_id] = counts
     cross = gmap(records, thresholds, ftar)
     return GmapReport(

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bcpd import RegistrationState, SimilarityTransform, apply_transform
+from .bcpd import MASS_EPS, RegistrationState, SimilarityTransform, apply_transform
 from .cloudio import PointCloud
 from .errors import ShapeMismatchError
-
-WEAK_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ def correspondence_targets(
         raise ShapeMismatchError(
             f"state has {len(state.target_mass)} target masses, cloud has {len(target)}"
         )
-    weak = state.source_mass < WEAK_MASS
+    weak = state.source_mass < MASS_EPS
     coords = state.matched_targets.copy()
     colors = state.matched_colors.copy()
     if np.any(weak):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudmorph import cli, load_ply, save_ply
+from cloudmorph import RegistrationParams, cli, downsample, load_ply, register, save_ply
 from conftest import make_cloud
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -339,3 +340,120 @@ class TestConfigAndHelp:
         )
         assert result.returncode == 1
         assert "betta" in result.stderr
+
+
+def parsed_args(argv, monkeypatch):
+    """The namespace main() hands to the command, without running it."""
+    seen = []
+    command = argv[0]
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(args) or 0)
+    assert cli.main(argv) == 0
+    (args,) = seen
+    return {k: v for k, v in vars(args).items() if k != "config"}
+
+
+class TestConfigKeys:
+    # key -> (command argv, flag argv, config value); the flag's value is the
+    # same text as the config value
+    CASES = {
+        "beta": (["register", "s.ply", "t.ply"], ["--beta", "0.25"], "0.25"),
+        "lambda": (["register", "s.ply", "t.ply"], ["--lambda", "7.5"], "7.5"),
+        "omega": (["register", "s.ply", "t.ply"], ["--omega", "0.125"], "0.125"),
+        "gamma": (["morph", "s.ply", "t.ply"], ["--gamma", "2"], "2"),
+        "kappa": (["morph", "s.ply", "t.ply"], ["--kappa", "3.5"], "3.5"),
+        "tol": (["pipeline", "p.csv"], ["--tol", "1e-3"], "1e-3"),
+        "max_iters": (["register", "s.ply", "t.ply"], ["--max-iters", "17"], "17"),
+        "downsample": (["pipeline", "p.csv"], ["--downsample", "123"], "123"),
+        "seed": (["morph", "s.ply", "t.ply"], ["--seed", "42"], "42"),
+        "alpha": (["morph", "s.ply", "t.ply"], ["--alpha", "0.25"], "0.25"),
+        "fmr": (["eval", "s.csv", "n.csv"], ["--fmr", "0.01"], "0.01"),
+        "ftar": (["eval", "s.csv", "n.csv"], ["--ftar", "f.csv"], "f.csv"),
+        "out": (["quadrants", "s.csv", "n.csv"], ["--out", "OUT"], "OUT"),
+        "sigma_correction": (["register", "s.ply", "t.ply"], ["--sigma-correction"], "on"),
+    }
+
+    def test_keys_are_the_long_flags(self):
+        _, subparsers = cli.build_parser()
+        assert set(cli._config_keys(subparsers)) == set(self.CASES)
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_key_parses_like_its_flag(self, key, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        command, flag, value = self.CASES[key]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={value}\n")
+        from_config = parsed_args(command + ["--config", str(config)], monkeypatch)
+        from_flag = parsed_args(command + flag, monkeypatch)
+        assert from_config == from_flag
+        assert from_config != parsed_args(command, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "word,on",
+        [("1", True), ("true", True), ("yes", True), ("on", True), ("TRUE", True),
+         ("0", False), ("false", False), ("no", False), ("off", False), (" Off ", False)],
+    )
+    def test_sigma_correction_words(self, word, on, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"sigma_correction={word}\n")
+        command = ["register", "s.ply", "t.ply"]
+        from_config = parsed_args(command + ["--config", str(config)], monkeypatch)
+        expected = parsed_args(command + (["--sigma-correction"] if on else []), monkeypatch)
+        assert from_config == expected
+        assert from_config["use_sigma_correction"] is on
+
+    @pytest.mark.parametrize(
+        "line,named",
+        [("sigma_correction=maybe", "'maybe'"), ("max_iters=1.5", "'1.5'"),
+         ("config=x", "'config'"), ("help=1", "'help'")],
+    )
+    def test_bad_value_or_key_exits_1(self, line, named, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        code = cli.main(["register", "s.ply", "t.ply", "--config", str(config),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    def test_params_follow_registration_params(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        args = parsed_args(["register", "s.ply", "t.ply", "--lambda", "9", "--max-iters", "4",
+                            "--sigma-correction"], monkeypatch)
+        params = cli._params_from_args(argparse.Namespace(**args))
+        assert params == RegistrationParams(lam=9.0, max_iters=4, use_sigma_correction=True)
+
+
+def csv_bytes(header, rows):
+    lines = [header, *rows]
+    return "".join(",".join(line) + "\r\n" for line in lines).encode("utf-8")
+
+
+def reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+class TestRegisterCsvFiles:
+    def test_files_hold_the_registration_exactly(self, cloud_files, tmp_path):
+        out = tmp_path / "reg"
+        code = cli.main(["register", str(cloud_files["a"]), str(cloud_files["b"]),
+                         "--out", str(out), "--downsample", "60", "--seed", "3",
+                         "--max-iters", "40"])
+        assert code in (0, 2)
+        source = downsample(load_ply(cloud_files["a"]), 60, 3)
+        target = downsample(load_ply(cloud_files["b"]), 60, 3)
+        result = register(source, target, RegistrationParams(max_iters=40))
+        t = result.transform
+        assert (out / "transform.csv").read_bytes() == csv_bytes(
+            ["s", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
+             "t1", "t2", "t3"],
+            [reprs([t.scale, *t.rotation.reshape(-1), *t.translation])],
+        )
+        assert (out / "displacements.csv").read_bytes() == csv_bytes(
+            ["vx", "vy", "vz"], [reprs(row) for row in result.displacement]
+        )
+        assert (out / "normalization.csv").read_bytes() == csv_bytes(
+            ["cloud", "cx", "cy", "cz", "scale"],
+            [["source", *reprs([*result.source_record.centroid, result.source_record.scale])],
+             ["target", *reprs([*result.target_record.centroid, result.target_record.scale])]],
+        )
+        assert len(result.displacement) == 60

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -244,6 +245,31 @@ class TestPly:
     def test_truncated_vertex_data(self, tmp_path):
         path = tmp_path / "short.ply"
         write_ascii_ply(path, ["0 0 0 1 2 3"], count=5)
+        with pytest.raises(MalformedHeaderError):
+            load_ply(path)
+
+    @pytest.mark.parametrize(
+        "rows,found",
+        [
+            (["0 0 0 1 2 3", "", "1 1 1 4 5 6", "2 2 2 7 8 9"], 2),
+            (["0 0 0 1 2 3", "   ", "1 1 1 4 5 6"], 2),
+            (["", "", ""], 0),
+        ],
+        ids=["blank-line", "whitespace-line", "all-blank"],
+    )
+    def test_blank_vertex_row_is_not_skipped(self, tmp_path, rows, found):
+        # the header declares 3 vertices; a blank row among them must not
+        # shrink the cloud to the rows that parse
+        path = tmp_path / "gap.ply"
+        write_ascii_ply(path, rows, count=3)
+        with warnings.catch_warnings(), pytest.raises(MalformedHeaderError) as err:
+            warnings.simplefilter("error")
+            load_ply(path)
+        assert f"expected 3 vertex rows, found {found}" in str(err.value)
+
+    def test_hash_in_vertex_row_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.ply"
+        write_ascii_ply(path, ["0 0 0 1 2 3", "# 1 1 1 4 5 6"])
         with pytest.raises(MalformedHeaderError):
             load_ply(path)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -85,6 +87,25 @@ class TestBuildGram:
         beyond[m - 1, m - 2] += 2e-12
         with pytest.raises(ValueError):
             GramMatrix(beyond, beta=0.3)
+
+    def test_peak_memory_one_matrix(self):
+        # the M x M result is built once and handed over without a copy
+        points = np.random.default_rng(1000).normal(size=(1000, 3))
+        tracemalloc.start()
+        try:
+            build_gram(points, beta=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_caller_array_is_copied(self):
+        values = build_gram(np.random.default_rng(7).normal(size=(5, 3)), beta=0.3).values
+        mine = values.copy()
+        gram = GramMatrix(mine, beta=0.3)
+        mine[0, 1] = mine[1, 0] = 0.25
+        npt.assert_array_equal(gram.values, values)
+        assert not gram.values.flags.writeable
 
     def test_invariants_validated(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])

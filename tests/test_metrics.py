@@ -23,6 +23,7 @@ from cloudmorph.errors import (
     RaggedDataError,
     UnsupportedArityError,
 )
+from cloudmorph.metrics import QUADRANTS
 
 
 def record(morph, frs, attempt, s1, s2, morph_type="default"):
@@ -368,6 +369,46 @@ class TestBuildReport:
         single = [r for r in records if r.frs_id == "frs1"]
         report = build_report(single, thresholds[:1])
         assert report.cross_frs == report.per_frs["frs1"]
+
+
+    def test_three_subject_table_matches_gmap(self):
+        records = [
+            ScoreRecord("A", "frs1", 1, (0.9, 0.8, 0.7)),
+            ScoreRecord("A", "frs1", 2, (0.9, 0.4, 0.7)),
+            ScoreRecord("A", "frs2", 1, (0.9, 0.8, 0.7)),
+            ScoreRecord("A", "frs2", 2, (0.9, 0.8, 0.7)),
+        ]
+        thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
+        report = build_report(records, thresholds)
+        for threshold in thresholds:
+            subset = [r for r in records if r.frs_id == threshold.frs_id]
+            assert report.per_frs[threshold.frs_id] == gmap(subset, [threshold])
+            assert report.quadrant_counts[threshold.frs_id] == dict.fromkeys(QUADRANTS, 0)
+        assert report.cross_frs == gmap(records, thresholds)
+        assert report.per_frs == {"frs1": 50.0, "frs2": 100.0}
+
+    def test_single_three_subject_record(self):
+        records = [ScoreRecord("A", "frs1", 1, (0.9, 0.8, 0.7))]
+        thresholds = [FrsThreshold("frs1", 0.5, 0.001)]
+        report = build_report(records, thresholds)
+        assert report.per_frs["frs1"] == gmap(records, thresholds) == 100.0
+        assert report.cross_frs == 100.0
+
+    def test_mixed_table_counts_two_subject_records_only(self):
+        records, thresholds = self.make_inputs()
+        extra = [
+            ScoreRecord("C", "frs1", 1, (0.9, 0.9, 0.9)),
+            ScoreRecord("C", "frs1", 2, (0.1, 0.9, 0.9)),
+            ScoreRecord("C", "frs2", 1, (0.9, 0.9, 0.9)),
+            ScoreRecord("C", "frs2", 2, (0.9, 0.9, 0.1)),
+        ]
+        report = build_report(records + extra, thresholds)
+        assert report.quadrant_counts == build_report(records, thresholds).quadrant_counts
+        assert report.quadrant_counts["frs1"] == {"I": 3, "II": 0, "III": 0, "IV": 1}
+        # the three-subject morph still counts in the values: C1 hits both
+        # systems, C2 neither
+        assert report.per_frs["frs1"] == pytest.approx(100.0 * 4 / 6, abs=1e-12)
+        assert report.cross_frs == gmap(records + extra, thresholds)
 
 
 class TestCsvInterfaces:
