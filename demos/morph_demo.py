@@ -11,7 +11,7 @@ import numpy as np
 from cloudmorph import (
     MorphConfig,
     PointCloud,
-    aligned_colored_source,
+    apply_transform,
     correspondence_targets,
     denormalize,
     morph,
@@ -45,9 +45,7 @@ print(f"subject A: {len(subject_a)} points, subject B: {len(subject_b)} points")
 result = register(subject_a, subject_b)
 print(f"registration converged: {result.converged} in {result.iterations} iterations")
 
-aligned = aligned_colored_source(
-    result.source_normalized, result.transform, result.displacement
-)
+aligned = apply_transform(result.source_normalized, result.transform, result.displacement)
 coords, colors = correspondence_targets(result.state, result.target_normalized)
 save_ply(denormalize(aligned, result.target_record), out_dir / "morph_aligned_a.ply")
 

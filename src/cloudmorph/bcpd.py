@@ -18,6 +18,21 @@ the residual variance stalls:
 Registration runs in normalized coordinates (both clouds centered and
 scaled to unit RMS radius) so the hyperparameters are independent of the
 physical units; results carry the normalization records needed to map back.
+
+Everything the updates read that does not change between iterations (the
+clouds, the parameters, the source Gram matrix, the outlier density and the
+E-step's target tables) is a :class:`RegistrationProblem`, built once by
+:func:`build_problem`. Each update takes the current state and the problem,
+so the loop of :func:`register` can be stepped by hand::
+
+    problem = build_problem(source, target, params)
+    state = init_state(problem)
+    for _ in range(params.max_iters):
+        state = e_step(state, problem)
+        state = update_displacement(state, problem)
+        state = update_similarity(state, problem)
+
+``register`` adds the normalization of both clouds and the stopping rule.
 """
 
 from __future__ import annotations
@@ -120,6 +135,73 @@ class RegistrationParams:
 
 
 @dataclass(frozen=True)
+class RegistrationProblem:
+    """What every iteration reads but none changes, for M source and N
+    target points; built once per registration by :func:`build_problem`.
+
+    source, target:   the two clouds (normalized, when built by register).
+    params:           the loop's hyperparameters.
+    gram:             Gaussian Gram matrix of the source, bandwidth params.beta.
+    log_outlier:      log(omega / ((1 - omega) volume)), volume that of the
+                      target's bounding box; -inf when omega is 0.
+    center:           (3,) target centroid, the origin of the E-step's
+                      expansion.
+    target_points:    (N, 4) rows [x_n - center, 1].
+    target_features:  (N, 7) rows [x_n, color_n, 1], the columns whose
+                      probability-weighted sums the E-step accumulates.
+    target_centered_sq: (N,) |x_n - center|^2.
+    target_sq:        (N,) |x_n|^2, read by the variance refresh.
+    """
+
+    source: PointCloud
+    target: PointCloud
+    params: RegistrationParams
+    gram: GramMatrix
+    log_outlier: float
+    center: np.ndarray
+    target_points: np.ndarray
+    target_features: np.ndarray
+    target_centered_sq: np.ndarray
+    target_sq: np.ndarray
+
+
+def build_problem(
+    source: PointCloud, target: PointCloud, params: RegistrationParams
+) -> RegistrationProblem:
+    """Build the Gram matrix, the outlier term and the target tables once.
+
+    The clouds are used as given. Raises DegenerateGeometryError when omega
+    is positive and the target's bounding box has zero volume, since the
+    outlier component is uniform over that box.
+    """
+    x = target.vertices
+    n = len(target)
+    if params.omega == 0.0:
+        log_outlier = -math.inf
+    else:
+        extent = x.max(axis=0) - x.min(axis=0)
+        volume = float(np.prod(extent))
+        if volume <= 0.0:
+            raise DegenerateGeometryError(
+                "target bounding box has zero volume; cannot place the outlier component"
+            )
+        log_outlier = math.log(params.omega / ((1.0 - params.omega) * volume))
+    center = x.mean(axis=0)
+    xc = x - center
+    tables = {
+        "center": center,
+        "target_points": np.hstack([xc, np.ones((n, 1))]),
+        "target_features": np.hstack([x, target.colors, np.ones((n, 1))]),
+        "target_centered_sq": np.einsum("ij,ij->i", xc, xc),
+        "target_sq": np.einsum("ij,ij->i", x, x),
+    }
+    for table in tables.values():
+        table.setflags(write=False)
+    gram = build_gram(source.vertices, params.beta)
+    return RegistrationProblem(source, target, params, gram, log_outlier, **tables)
+
+
+@dataclass(frozen=True)
 class RegistrationState:
     """All per-iteration variables, for M source and N target points.
 
@@ -159,9 +241,7 @@ class RegistrationState:
     moved_source: np.ndarray
 
 
-def init_state(
-    source: PointCloud, target: PointCloud, params: RegistrationParams
-) -> RegistrationState:
+def init_state(problem: RegistrationProblem) -> RegistrationState:
     """Start from the identity transform and zero displacement.
 
     The initial residual variance is gamma times the mean squared
@@ -171,11 +251,12 @@ def init_state(
     + mean ||x - mean(x)||^2, which takes O(M + N). The displacement
     variance starts at the prior's ones when the correction is on.
     """
+    source, params = problem.source, problem.params
     y = source.vertices
-    x = target.vertices
-    m, n = len(source), len(target)
+    x = problem.target.vertices
+    m, n = len(source), len(problem.target)
     y_bar = y.mean(axis=0)
-    x_bar = x.mean(axis=0)
+    x_bar = problem.center
     mean_d2 = (
         float(np.sum((y_bar - x_bar) ** 2))
         + float(np.sum((y - y_bar) ** 2)) / m
@@ -196,12 +277,7 @@ def init_state(
     )
 
 
-def e_step(
-    state: RegistrationState,
-    source: PointCloud,
-    target: PointCloud,
-    params: RegistrationParams,
-) -> RegistrationState:
+def e_step(state: RegistrationState, problem: RegistrationProblem) -> RegistrationState:
     """Update the match statistics and the mixing weights.
 
     Each moved source point carries an isotropic Gaussian of variance
@@ -239,19 +315,9 @@ def e_step(
     give the matched targets and colors. Source points with (near) zero
     matched mass keep their own moved position and color.
     """
-    x = target.vertices
+    source, params = problem.source, problem.params
     y = state.moved_source
-    m, n = len(source), len(target)
-    if params.omega == 0.0:
-        log_outlier = -math.inf
-    else:
-        extent = x.max(axis=0) - x.min(axis=0)
-        volume = float(np.prod(extent))
-        if volume <= 0.0:
-            raise DegenerateGeometryError(
-                "target bounding box has zero volume; cannot place the outlier component"
-            )
-        log_outlier = math.log(params.omega / ((1.0 - params.omega) * volume))
+    m, n = len(source), len(problem.target)
     log_weight = np.log(state.mixing_weights) - 1.5 * math.log(2.0 * math.pi * state.sigma2)
     if params.use_sigma_correction:
         s = state.transform.scale
@@ -260,16 +326,14 @@ def e_step(
     # columns: P @ x, P @ colors, P @ 1
     moments = np.zeros((m, 7))
     target_mass = np.empty(n)
-    features = np.hstack([x, target.colors, np.ones((n, 1))])
+    features = problem.target_features
     # a[m, n] + q_n = [x_n, 1] . coef[:, m], both clouds centered on the
     # target centroid; q_n = u2 |x_n|^2 is common to a target's column
     u2 = 0.5 / state.sigma2
-    center = x.mean(axis=0)
-    xc = x - center
-    yc = y - center
-    xa = np.hstack([xc, np.ones((n, 1))])
+    yc = y - problem.center
+    xa = problem.target_points
     coef = np.vstack([2.0 * u2 * yc.T, log_weight - u2 * np.einsum("ij,ij->i", yc, yc)])
-    q = u2 * np.einsum("ij,ij->i", xc, xc)
+    q = u2 * problem.target_centered_sq
     step = max(1, E_STEP_CHUNK // m)
     block = np.empty((min(step, n), m))
     ones = np.ones(m)
@@ -277,7 +341,7 @@ def e_step(
         hi = min(lo + step, n)
         a = block[: hi - lo]
         np.matmul(xa[lo:hi], coef, out=a)
-        outlier = log_outlier + q[lo:hi]
+        outlier = problem.log_outlier + q[lo:hi]
         top = np.maximum(a.max(axis=1), outlier)
         # a -= top[:, None] as a rank-1 update, in place on the block; about
         # three times faster than NumPy's broadcast subtraction
@@ -312,10 +376,7 @@ def e_step(
 
 
 def update_displacement(
-    state: RegistrationState,
-    source: PointCloud,
-    gram: GramMatrix,
-    params: RegistrationParams,
+    state: RegistrationState, problem: RegistrationProblem
 ) -> RegistrationState:
     """Refit the smooth displacement field to the expected correspondences.
 
@@ -336,13 +397,12 @@ def update_displacement(
 
         displacement_var = (1 - (c/lam) colsum(S G * K^-1 S G)) / lam.
     """
-    y = source.vertices
-    m = len(source)
-    if gram.size != m:
-        raise ShapeMismatchError(f"Gram matrix is {gram.size}x{gram.size}, cloud has {m} points")
+    params = problem.params
+    y = problem.source.vertices
+    m = len(y)
     tr = state.transform
     ratio = tr.scale * tr.scale / state.sigma2 / params.lam
-    g = gram.values
+    g = problem.gram.values
     root = np.sqrt(state.source_mass)
     k = np.outer(root, root)
     k *= g
@@ -388,10 +448,7 @@ def _procrustes_similarity(a: np.ndarray, b: np.ndarray, weights: np.ndarray | N
 
 
 def update_similarity(
-    state: RegistrationState,
-    source: PointCloud,
-    target: PointCloud,
-    params: RegistrationParams,
+    state: RegistrationState, problem: RegistrationProblem
 ) -> RegistrationState:
     """Weighted-Procrustes refit of scale/rotation/translation.
 
@@ -405,6 +462,10 @@ def update_similarity(
         sum_n target_mass_n |x_n|^2 - 2 sum_m y'_m . (P @ x)_m
         + sum_m source_mass_m |y'_m|^2,  P @ x = source_mass * matched_targets.
 
+    With the sigma correction on, the variance also takes the field's own
+    uncertainty, s^2 sum_m source_mass_m displacement_var_m / sum_m
+    source_mass_m (BCPD's s^2 (nu . var) / N-hat).
+
     The decomposition of the total map into displacement and transform is
     then re-gauged: any similarity component left inside the displacement
     field is pulled into the transform (an exact reparametrization that
@@ -413,8 +474,7 @@ def update_similarity(
     bottoms out, and the returned split becomes arbitrary; with it, the
     displacement holds only genuinely non-rigid deformation.
     """
-    y = source.vertices
-    x = target.vertices
+    y = problem.source.vertices
     mass = state.source_mass
     total = float(mass.sum())
     if total < 1e-9:
@@ -436,13 +496,13 @@ def update_similarity(
     new_tr = SimilarityTransform(scale, rot, trans)
     moved = new_tr.apply(y + disp)
     residual = (
-        float(state.target_mass @ np.einsum("ij,ij->i", x, x))
+        float(state.target_mass @ problem.target_sq)
         - 2.0 * float(np.einsum("ij,ij->", moved, mass[:, None] * state.matched_targets))
         + float(mass @ np.einsum("ij,ij->i", moved, moved))
     )
     sigma2 = residual / (3.0 * total)
-    if params.use_sigma_correction:
-        sigma2 += scale * scale * 3.0 * float(state.displacement_var.mean())
+    if problem.params.use_sigma_correction:
+        sigma2 += scale * scale * float(mass @ state.displacement_var) / total
     sigma2 = max(sigma2, SIGMA2_FLOOR)
     return replace(state, transform=new_tr, moved_source=moved, sigma2=sigma2, displacement=disp)
 
@@ -481,22 +541,23 @@ def register(
 ) -> RegistrationResult:
     """Run the full loop until the residual variance stalls or the cap hits.
 
-    Both clouds are normalized independently first; the Gram matrix is built
-    once over the normalized source. The loop is free of randomness, so
-    identical inputs produce bitwise-identical results.
+    Both clouds are normalized independently first; the problem (Gram
+    matrix, outlier term, target tables) is built once over the normalized
+    clouds. The loop is free of randomness, so identical inputs produce
+    bitwise-identical results.
     """
     params = params or RegistrationParams()
     src, src_rec = normalize(source)
     tgt, tgt_rec = normalize(target)
-    gram = build_gram(src.vertices, params.beta)
-    state = init_state(src, tgt, params)
+    problem = build_problem(src, tgt, params)
+    state = init_state(problem)
     history = [state.sigma2]
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iters + 1):
-        state = e_step(state, src, tgt, params)
-        state = update_displacement(state, src, gram, params)
-        state = update_similarity(state, src, tgt, params)
+        state = e_step(state, problem)
+        state = update_displacement(state, problem)
+        state = update_similarity(state, problem)
         history.append(state.sigma2)
         if abs(history[-1] - history[-2]) / history[-2] < params.tol:
             converged = True

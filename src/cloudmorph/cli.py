@@ -25,12 +25,13 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from .bcpd import RegistrationParams, RegistrationResult, register
+from .bcpd import RegistrationParams, RegistrationResult, apply_transform, register
 from .cloudio import PointCloud, denormalize, downsample, load_ply, save_ply
 from .errors import CloudMorphError
 from .metrics import (
     FtarTable,
     build_report,
+    quadrant_counts,
     read_ftar_csv,
     read_nonmated_csv,
     read_scores_csv,
@@ -38,7 +39,7 @@ from .metrics import (
     write_report_csv,
     write_scatter_csv,
 )
-from .morpher import MorphConfig, aligned_colored_source, correspondence_targets, morph
+from .morpher import MorphConfig, correspondence_targets, morph
 
 _DEFAULTS = RegistrationParams()
 
@@ -272,9 +273,7 @@ def _run_pair(
     source = _load_input_cloud(source_path, downsample_to, seed, loaded)
     target = _load_input_cloud(target_path, downsample_to, seed, loaded)
     result = register(source, target, params)
-    aligned = aligned_colored_source(
-        result.source_normalized, result.transform, result.displacement
-    )
+    aligned = apply_transform(result.source_normalized, result.transform, result.displacement)
     coords, colors = correspondence_targets(result.state, result.target_normalized)
     blended = morph(aligned, coords, colors, MorphConfig(alpha), target_id=target.id)
     return denormalize(blended, result.target_record), result
@@ -403,9 +402,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_quadrants(args: argparse.Namespace) -> int:
     records, thresholds = _scores_and_thresholds(args)
     write_scatter_csv(records, thresholds, Path(args.out) / "quadrants.csv")
-    report = build_report(records, thresholds, FtarTable())
-    for frs_id in sorted(report.quadrant_counts):
-        counts = report.quadrant_counts[frs_id]
+    for frs_id, counts in quadrant_counts(records, thresholds).items():
         print(f"{frs_id} I={counts['I']} II={counts['II']} "
               f"III={counts['III']} IV={counts['IV']}")
     return 0

@@ -70,10 +70,6 @@ class GramMatrix:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "beta", float(self.beta))
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
 
 def build_gram(points, beta: float) -> GramMatrix:
     """Evaluate the Gaussian kernel between every pair of points."""

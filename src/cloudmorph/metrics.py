@@ -258,6 +258,33 @@ def gmap_mamf(records, thresholds, ftar: FtarTable | None = None) -> float:
     return gmap(records, thresholds, ftar)
 
 
+def _thresholds_by_frs(records, thresholds) -> dict:
+    """frs_id -> threshold for every system in ``records``, in sorted order;
+    MissingThresholdError when one has none."""
+    threshold_map = {t.frs_id: t for t in thresholds}
+    by_frs = {}
+    for frs_id in sorted({r.frs_id for r in records}):
+        if frs_id not in threshold_map:
+            raise MissingThresholdError(f"no threshold for frs_id {frs_id!r}")
+        by_frs[frs_id] = threshold_map[frs_id]
+    return by_frs
+
+
+def quadrant_counts(records, thresholds) -> dict:
+    """Per system (in sorted order), how many records fall in each quadrant.
+
+    Only two-subject records have a quadrant; records of more subjects are
+    not counted.
+    """
+    records = list(records)
+    by_frs = _thresholds_by_frs(records, thresholds)
+    counts = {frs_id: {q: 0 for q in QUADRANTS} for frs_id in by_frs}
+    for rec in records:
+        if len(rec.subject_scores) == 2:
+            counts[rec.frs_id][quadrant_classify(rec, by_frs[rec.frs_id])] += 1
+    return counts
+
+
 def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapReport:
     """Assemble per-system values, the cross-system value, and quadrant
     counts (for two-subject records) into one report.
@@ -269,26 +296,15 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
     records = list(records)
     if not records:
         raise EmptyScoresError("no score records")
-    threshold_map = {t.frs_id: t for t in thresholds}
-    frs_ids = sorted({r.frs_id for r in records})
-    for frs_id in frs_ids:
-        if frs_id not in threshold_map:
-            raise MissingThresholdError(f"no threshold for frs_id {frs_id!r}")
-    per_frs = {}
-    quadrant_counts = {}
-    for frs_id in frs_ids:
-        subset = [r for r in records if r.frs_id == frs_id]
-        per_frs[frs_id] = gmap(subset, [threshold_map[frs_id]], FtarTable())
-        counts = {q: 0 for q in QUADRANTS}
-        for rec in subset:
-            if len(rec.subject_scores) == 2:
-                counts[quadrant_classify(rec, threshold_map[frs_id])] += 1
-        quadrant_counts[frs_id] = counts
+    per_frs = {
+        frs_id: gmap([r for r in records if r.frs_id == frs_id], [threshold], FtarTable())
+        for frs_id, threshold in _thresholds_by_frs(records, thresholds).items()
+    }
     cross = gmap(records, thresholds, ftar)
     return GmapReport(
         per_frs=per_frs,
         cross_frs=cross,
-        quadrant_counts=quadrant_counts,
+        quadrant_counts=quadrant_counts(records, thresholds),
         n_morphs=len({r.morph_id for r in records}),
         n_attempts=len({r.attempt_index for r in records}),
     )
@@ -384,16 +400,24 @@ def write_report_csv(report: GmapReport, path) -> None:
 
 def write_scatter_csv(records, thresholds, path) -> None:
     """Write plot-ready `morph_id,frs_id,attempt,score_s1,score_s2,quadrant`
-    rows, one per record, in input order."""
+    rows, one per record, in input order.
+
+    Every record is classified before the file is opened, so a record without
+    a threshold or with other than two subject scores raises and leaves no
+    file behind.
+    """
     threshold_map = {t.frs_id: t for t in thresholds}
+    records = list(records)
+    quads = []
+    for rec in records:
+        threshold = threshold_map.get(rec.frs_id)
+        if threshold is None:
+            raise MissingThresholdError(f"no threshold for frs_id {rec.frs_id!r}")
+        quads.append(quadrant_classify(rec, threshold))
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["morph_id", "frs_id", "attempt", "score_s1", "score_s2", "quadrant"])
-        for rec in records:
-            threshold = threshold_map.get(rec.frs_id)
-            if threshold is None:
-                raise MissingThresholdError(f"no threshold for frs_id {rec.frs_id!r}")
-            quad = quadrant_classify(rec, threshold)
+        for rec, quad in zip(records, quads):
             s1, s2 = rec.subject_scores
             writer.writerow(
                 [rec.morph_id, rec.frs_id, rec.attempt_index, repr(s1), repr(s2), quad]

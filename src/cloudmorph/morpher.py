@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bcpd import MASS_EPS, RegistrationState, SimilarityTransform, apply_transform
+from .bcpd import MASS_EPS, RegistrationState, apply_transform
 from .cloudio import PointCloud
 from .errors import ShapeMismatchError
 
@@ -31,16 +31,9 @@ class MorphConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def aligned_colored_source(
-    source: PointCloud, transform: SimilarityTransform, displacement
-) -> PointCloud:
-    """Deform and transform the source geometry while keeping its colors.
-
-    This is exactly :func:`cloudmorph.bcpd.apply_transform`, exposed as a
-    named pipeline stage so the aligned cloud can be saved or inspected
-    before blending.
-    """
-    return apply_transform(source, transform, displacement)
+# The morph's aligned-source stage: the source deformed and transformed with
+# its colors kept, which is exactly apply_transform under the stage's name.
+aligned_colored_source = apply_transform
 
 
 def correspondence_targets(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudmorph import RegistrationParams, cli, downsample, load_ply, register, save_ply
+from cloudmorph import RegistrationParams, cli, downsample, load_ply, metrics, register, save_ply
 from conftest import make_cloud
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -280,6 +280,23 @@ class TestQuadrantsCommand:
         assert lines[0] == "morph_id,frs_id,attempt,score_s1,score_s2,quadrant"
         assert len(lines) == 5
         assert "I=" in result.stdout
+
+    def test_counts_without_computing_gmap(self, tmp_path, monkeypatch, capsys):
+        # printing quadrant counts needs no attack-potential value
+        scores, nonmated = write_eval_fixture(tmp_path)
+        argv = ["quadrants", str(scores), str(nonmated), "--fmr", "0.002"]
+        assert cli.main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr().out
+
+        def no_gmap(*args, **kwargs):
+            raise AssertionError("gmap called")
+
+        monkeypatch.setattr(metrics, "gmap", no_gmap)
+        assert cli.main(argv + ["--out", str(tmp_path / "patched")]) == 0
+        assert capsys.readouterr().out == plain == "frs1 I=3 II=0 III=0 IV=1\n"
+        assert (tmp_path / "patched" / "quadrants.csv").read_bytes() == (
+            tmp_path / "plain" / "quadrants.csv"
+        ).read_bytes()
 
 
 class TestConfigAndHelp:

@@ -10,6 +10,7 @@ from cloudmorph import (
     gmap_ma,
     gmap_mamf,
     quadrant_classify,
+    quadrant_counts,
     read_ftar_csv,
     read_nonmated_csv,
     read_scores_csv,
@@ -479,6 +480,26 @@ class TestCsvInterfaces:
         assert len(lines) == 1 + len(records)
         assert lines[1] == "A,frs1,1,0.6,0.7,I"
         assert lines[2] == "A,frs1,2,0.6,0.4,IV"
+
+    def test_scatter_csv_rejects_bad_records_before_writing(self, tmp_path):
+        records, thresholds = TestBuildReport().make_inputs()
+        path = tmp_path / "scatter.csv"
+        three = ScoreRecord("C", "frs1", 1, (0.9, 0.8, 0.7))
+        with pytest.raises(UnsupportedArityError):
+            write_scatter_csv(records + [three], thresholds, path)
+        assert not path.exists()
+        with pytest.raises(MissingThresholdError):
+            write_scatter_csv(records + [record("C", "frs3", 1, 0.9, 0.8)], thresholds, path)
+        assert not path.exists()
+
+    def test_quadrant_counts_match_report(self):
+        records, thresholds = TestBuildReport().make_inputs()
+        three = ScoreRecord("C", "frs1", 1, (0.9, 0.8, 0.7))
+        counts = quadrant_counts(records + [three], thresholds)
+        assert counts == build_report(records, thresholds).quadrant_counts
+        assert list(counts) == ["frs1", "frs2"]
+        with pytest.raises(MissingThresholdError):
+            quadrant_counts(records, thresholds[:1])
 
     def test_score_record_validation(self):
         with pytest.raises(ValueError):

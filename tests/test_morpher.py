@@ -12,6 +12,7 @@ from cloudmorph import (
     aligned_colored_source,
     apply_transform,
     correspondence_targets,
+    build_problem,
     init_state,
     morph,
     register,
@@ -23,7 +24,7 @@ from conftest import make_cloud
 def state_with(source, target, posterior):
     """State holding the E-step statistics of the given match probabilities."""
     posterior = np.asarray(posterior, dtype=float)
-    state = init_state(source, target, RegistrationParams())
+    state = init_state(build_problem(source, target, RegistrationParams(omega=0.0)))
     mass = posterior.sum(axis=1)
     weak = mass < 1e-12
     safe = np.where(weak, 1.0, mass)
