@@ -19,7 +19,6 @@ deterministic given its inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -32,10 +31,12 @@ from .metrics import (
     FtarTable,
     build_report,
     quadrant_counts,
+    read_csv_rows,
     read_ftar_csv,
     read_nonmated_csv,
     read_scores_csv,
     threshold_at_fmr,
+    write_csv_rows,
     write_report_csv,
     write_scatter_csv,
 )
@@ -222,13 +223,6 @@ def _load_input_cloud(
     return cloud
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _reprs(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
@@ -240,14 +234,14 @@ def cmd_register(args: argparse.Namespace) -> int:
     target = _load_input_cloud(args.target, args.downsample, args.seed)
     result = register(source, target, params)
     transform = result.transform
-    _write_csv(
+    write_csv_rows(
         out / "transform.csv",
         ["s", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33", "t1", "t2", "t3"],
         [_reprs([transform.scale, *transform.rotation.reshape(-1), *transform.translation])],
     )
-    _write_csv(out / "displacements.csv", ["vx", "vy", "vz"],
-               [_reprs(row) for row in result.displacement.tolist()])
-    _write_csv(
+    write_csv_rows(out / "displacements.csv", ["vx", "vy", "vz"],
+                   [_reprs(row) for row in result.displacement.tolist()])
+    write_csv_rows(
         out / "normalization.csv",
         ["cloud", "cx", "cy", "cz", "scale"],
         [[name, *_reprs([*record.centroid, record.scale])]
@@ -291,31 +285,23 @@ def cmd_morph(args: argparse.Namespace) -> int:
     return code
 
 
+_PAIRING_COLUMNS = ("subject_a", "subject_b", "morph_id")
+
+
+def _pairing_row(row: dict) -> dict:
+    if not all(row.get(c) for c in _PAIRING_COLUMNS):
+        raise ValueError("incomplete pairing row")
+    alpha_text = (row.get("alpha") or "").strip()
+    try:
+        alpha = float(alpha_text) if alpha_text else None
+    except ValueError as exc:
+        raise ValueError(f"bad alpha {alpha_text!r}") from exc
+    return {"subject_a": row["subject_a"], "subject_b": row["subject_b"],
+            "morph_id": row["morph_id"], "alpha": alpha}
+
+
 def _read_pairing_csv(path) -> list[dict]:
-    path = Path(path)
-    pairs = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        have = reader.fieldnames or []
-        for column in ("subject_a", "subject_b", "morph_id"):
-            if column not in have:
-                raise ValueError(f"{path}: missing column {column!r}; found {have}")
-        for row_num, row in enumerate(reader, start=2):
-            if not all(row.get(c) for c in ("subject_a", "subject_b", "morph_id")):
-                raise ValueError(f"{path}: row {row_num}: incomplete pairing row")
-            alpha_text = (row.get("alpha") or "").strip()
-            try:
-                alpha = float(alpha_text) if alpha_text else None
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_num}: bad alpha {alpha_text!r}") from exc
-            pairs.append(
-                {
-                    "subject_a": row["subject_a"],
-                    "subject_b": row["subject_b"],
-                    "morph_id": row["morph_id"],
-                    "alpha": alpha,
-                }
-            )
+    pairs = list(read_csv_rows(path, _PAIRING_COLUMNS, _pairing_row))
     counts = Counter(p["morph_id"] for p in pairs)
     duplicates = sorted(m for m, count in counts.items() if count > 1)
     if duplicates:
@@ -365,7 +351,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         for path in (pair["subject_a"], pair["subject_b"]):
             if last_use[path] == index:
                 loaded.pop(path, None)
-    _write_csv(out / "manifest.csv", _MANIFEST_COLUMNS, [row.values() for row in manifest_rows])
+    write_csv_rows(out / "manifest.csv", _MANIFEST_COLUMNS, [row.values() for row in manifest_rows])
     print(f"generated {done}/{len(pairs)} morphs into {out}")
     return 0
 

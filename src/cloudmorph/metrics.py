@@ -13,6 +13,11 @@ aggregates these successes:
 
 Thresholds are set empirically from non-mated score distributions at a
 chosen false-match rate.
+
+Every value is read from one success table, built once per call: per morph
+type, a 0/1 array over (morph, attempt, system). A system's value is the
+mean of its slice; the cross-system value takes the minimum over the system
+axis, weighted by acquisition rates, before averaging.
 """
 
 from __future__ import annotations
@@ -167,18 +172,53 @@ def quadrant_classify(record: ScoreRecord, threshold: FrsThreshold) -> str:
     return "III"
 
 
-def _cell_table(records):
-    """Index records by (type, morph, attempt, system); reject duplicates."""
-    cells = {}
+def _success_tables(records, thresholds) -> tuple[list, list, list]:
+    """Sorted attempts, sorted systems, and per morph type (sorted) a 0/1
+    array over (sorted morphs, attempts, systems): 1 where every subject
+    score of the cell's record exceeds the system's threshold.
+
+    Raises MissingThresholdError for a system without a threshold, and
+    RaggedDataError naming the first duplicate cell in input order, then the
+    first missing cell in type, morph, attempt, system order.
+    """
+    tau = {frs_id: t.tau for frs_id, t in _thresholds_by_frs(records, thresholds).items()}
+    systems = list(tau)
+    attempts = sorted({r.attempt_index for r in records})
+    types = sorted({r.morph_type for r in records})
+    morphs = {d: sorted({r.morph_id for r in records if r.morph_type == d}) for d in types}
+    morph_pos = {d: {m: j for j, m in enumerate(ids)} for d, ids in morphs.items()}
+    attempt_pos = {a: i for i, a in enumerate(attempts)}
+    frs_pos = {f: k for k, f in enumerate(systems)}
+    # NaN marks a cell no record has filled yet
+    tables = {d: np.full((len(morphs[d]), len(attempts), len(systems)), np.nan)
+              for d in types}
     for rec in records:
-        key = (rec.morph_type, rec.morph_id, rec.attempt_index, rec.frs_id)
-        if key in cells:
+        cell = (morph_pos[rec.morph_type][rec.morph_id],
+                attempt_pos[rec.attempt_index], frs_pos[rec.frs_id])
+        table = tables[rec.morph_type]
+        if not np.isnan(table[cell]):
             raise RaggedDataError(
-                f"duplicate cell: type={key[0]!r} morph={key[1]!r} "
-                f"attempt={key[2]} frs={key[3]!r}"
+                f"duplicate cell: type={rec.morph_type!r} morph={rec.morph_id!r} "
+                f"attempt={rec.attempt_index} frs={rec.frs_id!r}"
             )
-        cells[key] = rec
-    return cells
+        table[cell] = min(rec.subject_scores) > tau[rec.frs_id]
+    for d in types:
+        missing = np.argwhere(np.isnan(tables[d]))
+        if missing.size:
+            j, i, k = missing[0]
+            raise RaggedDataError(
+                f"missing cell: type={d!r} morph={morphs[d][j]!r} "
+                f"attempt={attempts[i]} frs={systems[k]!r}"
+            )
+    return attempts, systems, [tables[d] for d in types]
+
+
+def _percent(tables, attempts, systems, ftar: FtarTable | None = None) -> float:
+    """100 × the mean over types of the mean over (morph, attempt) cells of
+    the worst system's success × (1 - failure-to-acquire)."""
+    ftar = ftar if ftar is not None else FtarTable()
+    kept = np.array([[1.0 - ftar.get(a, f) for f in systems] for a in attempts])
+    return 100.0 * float(np.mean([float((t * kept).min(axis=2).mean()) for t in tables]))
 
 
 def gmap(records, thresholds, ftar: FtarTable | None = None) -> float:
@@ -193,36 +233,8 @@ def gmap(records, thresholds, ftar: FtarTable | None = None) -> float:
     records = list(records)
     if not records:
         raise EmptyScoresError("no score records")
-    ftar = ftar if ftar is not None else FtarTable()
-    tau = {t.frs_id: t.tau for t in thresholds}
-    frs_ids = sorted({r.frs_id for r in records})
-    for frs_id in frs_ids:
-        if frs_id not in tau:
-            raise MissingThresholdError(f"no threshold for frs_id {frs_id!r}")
-    attempts = sorted({r.attempt_index for r in records})
-    cells = _cell_table(records)
-    attempt_pos = {a: i for i, a in enumerate(attempts)}
-    frs_pos = {f: i for i, f in enumerate(frs_ids)}
-
-    type_means = []
-    for morph_type in sorted({r.morph_type for r in records}):
-        morphs = sorted({r.morph_id for r in records if r.morph_type == morph_type})
-        values = np.full((len(morphs), len(attempts), len(frs_ids)), np.nan)
-        for j, morph_id in enumerate(morphs):
-            for attempt in attempts:
-                for frs_id in frs_ids:
-                    rec = cells.get((morph_type, morph_id, attempt, frs_id))
-                    if rec is None:
-                        raise RaggedDataError(
-                            f"missing cell: type={morph_type!r} morph={morph_id!r} "
-                            f"attempt={attempt} frs={frs_id!r}"
-                        )
-                    hit = all(s > tau[frs_id] for s in rec.subject_scores)
-                    values[j, attempt_pos[attempt], frs_pos[frs_id]] = (
-                        float(hit) * (1.0 - ftar.get(attempt, frs_id))
-                    )
-        type_means.append(float(values.min(axis=2).mean()))
-    return 100.0 * float(np.mean(type_means))
+    attempts, systems, tables = _success_tables(records, thresholds)
+    return _percent(tables, attempts, systems, ftar)
 
 
 def gmap_ma(records, threshold: FrsThreshold) -> float:
@@ -296,17 +308,18 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
     records = list(records)
     if not records:
         raise EmptyScoresError("no score records")
+    attempts, systems, tables = _success_tables(records, thresholds)
     per_frs = {
-        frs_id: gmap([r for r in records if r.frs_id == frs_id], [threshold], FtarTable())
-        for frs_id, threshold in _thresholds_by_frs(records, thresholds).items()
+        frs_id: _percent([t[:, :, [k]] for t in tables], attempts, [frs_id])
+        for k, frs_id in enumerate(systems)
     }
-    cross = gmap(records, thresholds, ftar)
+    cross = _percent(tables, attempts, systems, ftar)
     return GmapReport(
         per_frs=per_frs,
         cross_frs=cross,
         quadrant_counts=quadrant_counts(records, thresholds),
         n_morphs=len({r.morph_id for r in records}),
-        n_attempts=len({r.attempt_index for r in records}),
+        n_attempts=len(attempts),
     )
 
 
@@ -319,33 +332,43 @@ NONMATED_COLUMNS = ("frs_id", "score")
 FTAR_COLUMNS = ("frs_id", "attempt", "ftar")
 
 
-def _check_columns(reader: csv.DictReader, required, path) -> None:
-    have = reader.fieldnames or []
-    missing = [c for c in required if c not in have]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}; found {have}")
+def read_csv_rows(path, columns, parse):
+    """Yield ``parse(row)`` for each row (a dict by column) of a CSV file.
+
+    A header lacking any of ``columns`` raises one ValueError naming them all;
+    a TypeError or ValueError from ``parse`` is raised again as
+    ``"{path}: row {n}: {exc}"``, the header being row 1."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        have = reader.fieldnames or []
+        missing = [c for c in columns if c not in have]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}; found {have}")
+        for row_num, row in enumerate(reader, start=2):
+            try:
+                item = parse(row)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: row {row_num}: {exc}") from exc
+            yield item
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """Write ``header``, then each of the iterable ``rows`` as it comes."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _score_record(row) -> ScoreRecord:
+    return ScoreRecord(row["morph_id"], row["frs_id"], int(row["attempt"]),
+                       (float(row["score_s1"]), float(row["score_s2"])), row["morph_type"])
 
 
 def read_scores_csv(path) -> list[ScoreRecord]:
     """Read `morph_id,morph_type,frs_id,attempt,score_s1,score_s2` rows."""
-    path = Path(path)
-    records = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _check_columns(reader, SCORES_COLUMNS, path)
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    ScoreRecord(
-                        morph_id=row["morph_id"],
-                        morph_type=row["morph_type"],
-                        frs_id=row["frs_id"],
-                        attempt_index=int(row["attempt"]),
-                        subject_scores=(float(row["score_s1"]), float(row["score_s2"])),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {row_num}: {exc}") from exc
+    records = list(read_csv_rows(path, SCORES_COLUMNS, _score_record))
     if not records:
         raise EmptyScoresError(f"{path}: no score rows")
     return records
@@ -353,49 +376,41 @@ def read_scores_csv(path) -> list[ScoreRecord]:
 
 def read_nonmated_csv(path) -> dict:
     """Read `frs_id,score` rows into per-system score lists."""
-    path = Path(path)
     scores: dict[str, list[float]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _check_columns(reader, NONMATED_COLUMNS, path)
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                scores.setdefault(row["frs_id"], []).append(float(row["score"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {row_num}: {exc}") from exc
+    rows = read_csv_rows(path, NONMATED_COLUMNS, lambda row: (row["frs_id"], float(row["score"])))
+    for frs_id, score in rows:
+        scores.setdefault(frs_id, []).append(score)
     if not scores:
         raise EmptyScoresError(f"{path}: no non-mated rows")
     return scores
 
 
 def read_ftar_csv(path) -> FtarTable:
-    """Read `frs_id,attempt,ftar` rows into a failure-to-acquire table."""
-    path = Path(path)
+    """Read `frs_id,attempt,ftar` rows into a failure-to-acquire table; a
+    second row for the same system and attempt is an error."""
     rates = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _check_columns(reader, FTAR_COLUMNS, path)
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                rates[(int(row["attempt"]), row["frs_id"])] = float(row["ftar"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {row_num}: {exc}") from exc
+
+    def add(row) -> None:
+        key = (int(row["attempt"]), row["frs_id"])
+        if key in rates:
+            raise ValueError(f"duplicate row for frs_id {key[1]!r}, attempt {key[0]}")
+        rates[key] = float(row["ftar"])
+
+    for _ in read_csv_rows(path, FTAR_COLUMNS, add):
+        pass
     return FtarTable(rates)
 
 
 def write_report_csv(report: GmapReport, path) -> None:
     """Write `frs_id,gmap_ma,quad1,quad2,quad3,quad4` rows plus a final
     `MAMF,<value>` row with the cross-system result."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["frs_id", "gmap_ma", "quad1", "quad2", "quad3", "quad4"])
-        for frs_id in sorted(report.per_frs):
-            counts = report.quadrant_counts[frs_id]
-            writer.writerow(
-                [frs_id, f"{report.per_frs[frs_id]:.6f}"]
-                + [counts[q] for q in QUADRANTS]
-            )
-        writer.writerow(["MAMF", f"{report.cross_frs:.6f}"])
+    rows = [
+        [frs_id, f"{report.per_frs[frs_id]:.6f}"]
+        + [report.quadrant_counts[frs_id][q] for q in QUADRANTS]
+        for frs_id in sorted(report.per_frs)
+    ]
+    rows.append(["MAMF", f"{report.cross_frs:.6f}"])
+    write_csv_rows(path, ["frs_id", "gmap_ma", "quad1", "quad2", "quad3", "quad4"], rows)
 
 
 def write_scatter_csv(records, thresholds, path) -> None:
@@ -406,19 +421,12 @@ def write_scatter_csv(records, thresholds, path) -> None:
     a threshold or with other than two subject scores raises and leaves no
     file behind.
     """
-    threshold_map = {t.frs_id: t for t in thresholds}
     records = list(records)
-    quads = []
-    for rec in records:
-        threshold = threshold_map.get(rec.frs_id)
-        if threshold is None:
-            raise MissingThresholdError(f"no threshold for frs_id {rec.frs_id!r}")
-        quads.append(quadrant_classify(rec, threshold))
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["morph_id", "frs_id", "attempt", "score_s1", "score_s2", "quadrant"])
-        for rec, quad in zip(records, quads):
-            s1, s2 = rec.subject_scores
-            writer.writerow(
-                [rec.morph_id, rec.frs_id, rec.attempt_index, repr(s1), repr(s2), quad]
-            )
+    by_frs = _thresholds_by_frs(records, thresholds)
+    quads = [quadrant_classify(rec, by_frs[rec.frs_id]) for rec in records]
+    write_csv_rows(
+        path,
+        ["morph_id", "frs_id", "attempt", "score_s1", "score_s2", "quadrant"],
+        ([rec.morph_id, rec.frs_id, rec.attempt_index, *map(repr, rec.subject_scores), quad]
+         for rec, quad in zip(records, quads)),
+    )

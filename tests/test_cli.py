@@ -181,6 +181,21 @@ class TestPipelineCommand:
         assert result.returncode == 1
         assert "same_id" in result.stderr
 
+    def test_missing_column_names_it(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("subject_a,subject_b,alpha\na.ply,b.ply,0.5\n")
+        assert cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "x")]) == 1
+        assert "morph_id" in capsys.readouterr().err
+
+    def test_bad_alpha_names_row(self, cloud_files, tmp_path, capsys):
+        rows = [
+            f"{cloud_files['a']},{cloud_files['b']},morph_ab",
+            f"{cloud_files['c']},{cloud_files['d']},morph_cd,half",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        assert cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "x")]) == 1
+        assert "row 3: bad alpha 'half'" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, cloud_files, tmp_path):
         pairs = self.write_pairs(tmp_path, cloud_files)
         out1 = tmp_path / "run1"
@@ -256,6 +271,15 @@ class TestEvalCommand:
         result = run_cli("eval", scores, nonmated, "--out", tmp_path / "e")
         assert result.returncode == 1
         assert "row 3" in result.stderr
+
+    def test_bad_nonmated_row_names_file_and_row(self, tmp_path, capsys):
+        scores, _ = write_eval_fixture(tmp_path)
+        nonmated = tmp_path / "nm.csv"
+        nonmated.write_text("frs_id,score\nfrs1,0.5\nfrs1,high\n")
+        assert cli.main(["eval", str(scores), str(nonmated), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert str(nonmated) in err
+        assert "row 3" in err
 
     def test_omitted_ftar_equals_zero_ftar(self, tmp_path):
         scores, nonmated = write_eval_fixture(tmp_path)

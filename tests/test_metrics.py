@@ -24,6 +24,7 @@ from cloudmorph.errors import (
     RaggedDataError,
     UnsupportedArityError,
 )
+from cloudmorph import metrics
 from cloudmorph.metrics import QUADRANTS
 
 
@@ -411,6 +412,50 @@ class TestBuildReport:
         assert report.per_frs["frs1"] == pytest.approx(100.0 * 4 / 6, abs=1e-12)
         assert report.cross_frs == gmap(records + extra, thresholds)
 
+    def test_ragged_table_names_the_same_cell_as_gmap(self):
+        records = [
+            record("A", "frs1", 1, 0.6, 0.7),
+            record("A", "frs1", 2, 0.6, 0.7),
+            record("B", "frs1", 1, 0.6, 0.7),
+            record("A", "frs2", 1, 0.6, 0.7),
+        ]
+        thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
+        with pytest.raises(RaggedDataError) as from_gmap:
+            gmap(records, thresholds)
+        with pytest.raises(RaggedDataError) as from_report:
+            build_report(records, thresholds)
+        assert "morph='A' attempt=2 frs='frs2'" in str(from_gmap.value)
+        assert str(from_report.value) == str(from_gmap.value)
+
+    def test_values_equal_gmap_exactly_on_random_tables(self):
+        rng = np.random.default_rng(29)
+        for n_types in (1, 2, 3):
+            for _ in range(10):
+                records, _, thresholds, ftar_map = random_table(rng, n_types=n_types)
+                ftar = FtarTable(ftar_map)
+                report = build_report(records, thresholds, ftar)
+                assert report.cross_frs == gmap(records, thresholds, ftar)
+                for threshold in thresholds:
+                    subset = [r for r in records if r.frs_id == threshold.frs_id]
+                    assert report.per_frs[threshold.frs_id] == gmap(subset, [threshold])
+                for morph_type in sorted({r.morph_type for r in records}):
+                    typed = [r for r in records if r.morph_type == morph_type]
+                    typed_report = build_report(typed, thresholds, ftar)
+                    assert typed_report.cross_frs == gmap(typed, thresholds, ftar)
+                    for threshold in thresholds:
+                        subset = [r for r in typed if r.frs_id == threshold.frs_id]
+                        assert typed_report.per_frs[threshold.frs_id] == gmap_ma(subset, threshold)
+
+    def test_report_does_not_call_gmap(self, monkeypatch):
+        records, thresholds = self.make_inputs()
+        expected = build_report(records, thresholds)
+
+        def no_gmap(*args, **kwargs):
+            raise AssertionError("gmap called")
+
+        monkeypatch.setattr(metrics, "gmap", no_gmap)
+        assert build_report(records, thresholds) == expected
+
 
 class TestCsvInterfaces:
     def test_scores_round_trip(self, tmp_path):
@@ -456,6 +501,14 @@ class TestCsvInterfaces:
         assert table.get(1, "frs1") == 0.25
         assert table.get(2, "frs2") == 0.0
         assert table.get(9, "frs1") == 0.0
+
+    def test_ftar_duplicate_row_names_it(self, tmp_path):
+        path = tmp_path / "ftar.csv"
+        path.write_text("frs_id,attempt,ftar\nfrs1,1,0.25\nfrs2,1,0\nfrs1,1,0.5\n")
+        with pytest.raises(ValueError) as err:
+            read_ftar_csv(path)
+        assert "row 4" in str(err.value)
+        assert "'frs1'" in str(err.value)
 
     def test_ftar_range_validation(self):
         with pytest.raises(ValueError):
