@@ -383,14 +383,17 @@ def update_displacement(
     The displacement is c * Sigma @ (mass * residual), where the residual
     pulls each expected target back through the current transform and
     Sigma = (lam * G^-1 + c diag(mass))^-1 is the field's posterior
-    covariance, c = s^2 / sigma2. Sigma itself is never formed: the Woodbury
-    identity is applied to the right-hand side, so the Gram matrix is never
-    inverted and the one dense solve is symmetric positive-definite (its
-    matrix is I + PSD) even when individual masses vanish:
+    covariance, c = s^2 / sigma2. Sigma is never formed and G never
+    inverted: with S = diag(sqrt(mass)), the push-through identity
+    (lam G^-1 + c S^2)^-1 S = (G / lam) S K^-1 gives
 
-        b = G @ (mass * residual),
-        displacement = (c/lam) * (b - (c/lam) G S K^-1 S b),
-        K = I + (c/lam) S G S,  S = diag(sqrt(mass)).
+        displacement = (c/lam) * G @ (S K^-1 S residual),
+        K = I + (c/lam) S G S,
+
+    one solve that is symmetric positive-definite (I + PSD) even when
+    individual masses vanish, and one product with G. No two nearly equal
+    terms are subtracted, so no rounding error is scaled up by c/lam, which
+    reaches 2e6 at the variance floor.
 
     With the sigma correction on, the same solve also takes S G as M more
     right-hand-side columns, for the diagonal of Sigma:
@@ -409,12 +412,11 @@ def update_displacement(
     k *= ratio
     k.flat[:: m + 1] += 1.0
     residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
-    b = g @ (state.source_mass[:, None] * residual)
-    rhs = root[:, None] * b
+    rhs = root[:, None] * residual
     if params.use_sigma_correction:
         rhs = np.hstack([rhs, root[:, None] * g])
     solved = solve_spd(k, rhs)
-    disp = ratio * (b - ratio * (g @ (root[:, None] * solved[:, :3])))
+    disp = ratio * (g @ (root[:, None] * solved[:, :3]))
     var = None
     if params.use_sigma_correction:
         var = (1.0 - ratio * np.einsum("ij,ij->j", rhs[:, 3:], solved[:, 3:])) / params.lam

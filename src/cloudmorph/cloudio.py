@@ -197,21 +197,26 @@ def _parse_header(raw: bytes, path: Path):
     return fmt, elements, body
 
 
-def _check_vertex_props(props, path: Path) -> list[str]:
-    names = []
-    for name, ptype in props:
-        if name == "list":
-            raise MalformedHeaderError(f"{path}: list property in vertex element")
-        names.append(name)
+def _vertex_element(elements, path: Path) -> int:
+    """Position of the first vertex element, after checking its count and
+    properties: no list, x/y/z as float or double, red/green/blue as uchar."""
+    index = next((i for i, (name, _, _) in enumerate(elements) if name == "vertex"), None)
+    if index is None:
+        raise MalformedHeaderError(f"{path}: no vertex element")
+    _, count, props = elements[index]
+    if count < 1:
+        raise MalformedHeaderError(f"{path}: vertex count must be >= 1")
+    if any(name == "list" for name, _ in props):
+        raise MalformedHeaderError(f"{path}: list property in vertex element")
+    types = dict(props)
     for axis in ("x", "y", "z"):
-        if axis not in names:
+        if axis not in types:
             raise MissingPropertyError(f"{path}: vertex element has no {axis!r} property")
     for channel in ("red", "green", "blue"):
-        if channel not in names:
+        if channel not in types:
             raise MissingPropertyError(
                 f"{path}: vertex element has no color channels (red/green/blue)"
             )
-    types = dict(props)
     for axis in ("x", "y", "z"):
         if types[axis] not in _COORD_TYPES:
             raise MalformedHeaderError(
@@ -222,56 +227,46 @@ def _check_vertex_props(props, path: Path) -> list[str]:
             raise MalformedHeaderError(
                 f"{path}: color property {channel!r} must be 8-bit (uchar)"
             )
-    return names
+    return index
 
 
-def _read_ascii_vertices(body: bytes, elements, path: Path) -> np.ndarray:
-    lines = body.decode("ascii", errors="replace").splitlines()
-    cursor = 0
-    for name, count, props in elements:
-        if name == "vertex":
-            names = _check_vertex_props(props, path)
-            rows = lines[cursor : cursor + count]
-            # loadtxt would skip a blank row and drop the last vertex unnoticed
-            found = sum(1 for row in rows if row.strip())
-            if found < count:
-                raise MalformedHeaderError(
-                    f"{path}: expected {count} vertex rows, found {found}"
-                )
-            try:
-                data = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-            except ValueError as exc:
-                raise MalformedHeaderError(f"{path}: unparseable vertex row ({exc})") from exc
-            if data.shape[1] != len(props):
-                raise MalformedHeaderError(
-                    f"{path}: vertex rows have {data.shape[1]} columns, "
-                    f"header declares {len(props)} properties"
-                )
-            cols = {nm: data[:, i] for i, nm in enumerate(names)}
-            return _assemble(cols, path)
-        cursor += count
-    raise MalformedHeaderError(f"{path}: no vertex element")
+def _read_ascii_vertices(body: bytes, elements, index: int, path: Path):
+    _, count, props = elements[index]
+    start = sum(n for _, n, _ in elements[:index])
+    rows = body.decode("ascii", errors="replace").splitlines()[start : start + count]
+    # loadtxt would skip a blank row and drop the last vertex unnoticed
+    found = sum(1 for row in rows if row.strip())
+    if found < count:
+        raise MalformedHeaderError(f"{path}: expected {count} vertex rows, found {found}")
+    try:
+        data = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise MalformedHeaderError(f"{path}: unparseable vertex row ({exc})") from exc
+    if data.shape[1] != len(props):
+        raise MalformedHeaderError(
+            f"{path}: vertex rows have {data.shape[1]} columns, "
+            f"header declares {len(props)} properties"
+        )
+    return _assemble({name: data[:, i] for i, (name, _) in enumerate(props)}, path)
 
 
-def _read_binary_vertices(body: bytes, elements, path: Path) -> np.ndarray:
+def _read_binary_vertices(body: bytes, elements, index: int, path: Path):
+    def row_dtype(props):
+        return np.dtype([(name, "<" + _PLY_DTYPES[ptype]) for name, ptype in props])
+
     offset = 0
-    for name, count, props in elements:
-        if name == "vertex":
-            names = _check_vertex_props(props, path)
-            vdtype = np.dtype([(nm, "<" + _PLY_DTYPES[pt]) for nm, pt in props])
-            try:
-                data = np.frombuffer(body, dtype=vdtype, count=count, offset=offset)
-            except ValueError as exc:
-                raise MalformedHeaderError(f"{path}: vertex data truncated ({exc})") from exc
-            cols = {nm: data[nm].astype(np.float64) for nm in names}
-            return _assemble(cols, path)
-        for pname, _ in props:
-            if pname == "list":
-                raise MalformedHeaderError(
-                    f"{path}: cannot skip list-typed element {name!r} before vertices"
-                )
-        offset += count * np.dtype([(nm, "<" + _PLY_DTYPES[pt]) for nm, pt in props]).itemsize
-    raise MalformedHeaderError(f"{path}: no vertex element")
+    for name, count, props in elements[:index]:
+        if any(pname == "list" for pname, _ in props):
+            raise MalformedHeaderError(
+                f"{path}: cannot skip list-typed element {name!r} before vertices"
+            )
+        offset += count * row_dtype(props).itemsize
+    _, count, props = elements[index]
+    try:
+        data = np.frombuffer(body, dtype=row_dtype(props), count=count, offset=offset)
+    except ValueError as exc:
+        raise MalformedHeaderError(f"{path}: vertex data truncated ({exc})") from exc
+    return _assemble({name: data[name].astype(np.float64) for name, _ in props}, path)
 
 
 def _assemble(cols: dict, path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -294,13 +289,9 @@ def load_ply(path) -> PointCloud:
     path = Path(path)
     raw = path.read_bytes()
     fmt, elements, body = _parse_header(raw, path)
-    for name, count, _ in elements:
-        if name == "vertex" and count < 1:
-            raise MalformedHeaderError(f"{path}: vertex count must be >= 1")
-    if fmt == "ascii":
-        verts, colors = _read_ascii_vertices(body, elements, path)
-    else:
-        verts, colors = _read_binary_vertices(body, elements, path)
+    index = _vertex_element(elements, path)
+    read = _read_ascii_vertices if fmt == "ascii" else _read_binary_vertices
+    verts, colors = read(body, elements, index, path)
     return PointCloud(verts, colors, path.stem)
 
 

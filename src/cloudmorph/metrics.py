@@ -23,6 +23,7 @@ axis, weighted by acquisition rates, before averaging.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,7 @@ class ScoreRecord:
         scores = tuple(float(s) for s in self.subject_scores)
         if len(scores) < 2:
             raise ValueError("a morph needs at least two subject scores")
-        if not all(np.isfinite(scores)):
+        if not all(map(math.isfinite, scores)):
             raise ValueError("subject scores must be finite")
         if self.attempt_index < 1:
             raise ValueError("attempt_index must be >= 1")

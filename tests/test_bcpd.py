@@ -584,6 +584,33 @@ class TestUpdateDisplacement:
             assert out.displacement_var is None
 
     @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    @pytest.mark.parametrize("sigma2", [1e-3, 1e-6, SIGMA2_FLOOR])
+    def test_field_equation_residual_at_small_sigma2(self, sigma2, use_sigma_correction):
+        # The field v solves (lam G^-1 + c diag(nu)) v = c (nu * r), that is
+        # lam v + c G (nu * v) = c G (nu * r), c = s^2 / sigma2. A form that
+        # subtracts two nearly equal terms and scales the difference by
+        # c / lam (2e6 at the floor) misses this by 1e-8; the push-through
+        # form stays at rounding level.
+        rng = np.random.default_rng(62)
+        points = make_normalized_points(300, rng)
+        source = cloud_of(points)
+        target = cloud_of(points + rng.normal(0.0, 0.01, size=points.shape))
+        params = RegistrationParams(use_sigma_correction=use_sigma_correction)
+        problem = build_problem(source, target, params)
+        state = replace(e_step(init_state(problem), problem), sigma2=sigma2)
+        v = update_displacement(state, problem).displacement
+
+        g = problem.gram.values
+        nu = state.source_mass
+        tr = state.transform
+        c = tr.scale**2 / sigma2
+        r = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale
+        r -= source.vertices
+        rhs = c * (g @ (nu[:, None] * r))
+        lhs = params.lam * v + c * (g @ (nu[:, None] * v))
+        assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-12
+
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
     def test_single_solve_per_update(self, use_sigma_correction, monkeypatch):
         # the covariance is never formed: one solve with a 3-column
         # right-hand side, plus M columns for the variances when requested

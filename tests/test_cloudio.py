@@ -171,6 +171,44 @@ class TestPly:
         cloud = load_ply(path)
         npt.assert_allclose(cloud.vertices, [[1.0, 2.0, 3.0]], atol=1e-6)
 
+    def test_ascii_skips_preceding_element(self, tmp_path):
+        # the camera's two rows come first and must not be read as vertices
+        path = tmp_path / "pre.ply"
+        content = "\n".join(
+            [
+                "ply",
+                "format ascii 1.0",
+                "element camera 2",
+                "property float cx",
+                "property float cy",
+                "element vertex 2",
+                "property float x",
+                "property float y",
+                "property float z",
+                "property uchar red",
+                "property uchar green",
+                "property uchar blue",
+                "end_header",
+                "9 9",
+                "8 8",
+                "1 2 3 10 20 30",
+                "4 5 6 40 50 60",
+            ]
+        )
+        path.write_text(content + "\n")
+        cloud = load_ply(path)
+        npt.assert_array_equal(cloud.vertices, [[1, 2, 3], [4, 5, 6]])
+        npt.assert_allclose(cloud.colors, np.array([[10, 20, 30], [40, 50, 60]]) / 255.0)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_no_vertex_element(self, tmp_path, fmt):
+        path = tmp_path / "novertex.ply"
+        header = f"ply\nformat {fmt} 1.0\nelement camera 1\nproperty float cx\nend_header\n"
+        body = b"9\n" if fmt == "ascii" else struct.pack("<f", 9.0)
+        path.write_bytes(header.encode("ascii") + body)
+        with pytest.raises(MalformedHeaderError, match="no vertex element"):
+            load_ply(path)
+
     def test_binary_truncated_body(self, tmp_path):
         header = (
             "ply\nformat binary_little_endian 1.0\nelement vertex 2\n"

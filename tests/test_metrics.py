@@ -559,5 +559,6 @@ class TestCsvInterfaces:
             ScoreRecord("m", "A", 1, (0.5,))
         with pytest.raises(ValueError):
             ScoreRecord("m", "A", 0, (0.5, 0.6))
-        with pytest.raises(ValueError):
-            ScoreRecord("m", "A", 1, (float("nan"), 0.6))
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="finite"):
+                ScoreRecord("m", "A", 1, (float(bad), 0.6))
