@@ -2,7 +2,7 @@
 
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "4")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from pathlib import Path
 

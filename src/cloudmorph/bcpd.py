@@ -21,7 +21,7 @@ physical units; results carry the normalization records needed to map back.
 
 Everything the updates read that does not change between iterations (the
 clouds, the parameters, the source Gram matrix, the outlier density and the
-E-step's target tables) is a :class:`RegistrationProblem`, built once by
+centered target table) is a :class:`RegistrationProblem`, built once by
 :func:`build_problem`. Each update takes the current state and the problem,
 so the loop of :func:`register` can be stepped by hand::
 
@@ -144,13 +144,11 @@ class RegistrationProblem:
     gram:             Gaussian Gram matrix of the source, bandwidth params.beta.
     log_outlier:      log(omega / ((1 - omega) volume)), volume that of the
                       target's bounding box; -inf when omega is 0.
-    center:           (3,) target centroid, the origin of the E-step's
-                      expansion.
-    target_points:    (N, 4) rows [x_n - center, 1].
-    target_features:  (N, 7) rows [x_n, color_n, 1], the columns whose
-                      probability-weighted sums the E-step accumulates.
+    center:           (3,) target centroid, the origin of both tables below.
+    target_table:     (N, 7) rows [x_n - center, 1, color_n]: the E-step's
+                      log-densities read the first four columns, and it sums
+                      all seven weighted by the match probabilities.
     target_centered_sq: (N,) |x_n - center|^2.
-    target_sq:        (N,) |x_n|^2, read by the variance refresh.
     """
 
     source: PointCloud
@@ -159,16 +157,14 @@ class RegistrationProblem:
     gram: GramMatrix
     log_outlier: float
     center: np.ndarray
-    target_points: np.ndarray
-    target_features: np.ndarray
+    target_table: np.ndarray
     target_centered_sq: np.ndarray
-    target_sq: np.ndarray
 
 
 def build_problem(
     source: PointCloud, target: PointCloud, params: RegistrationParams
 ) -> RegistrationProblem:
-    """Build the Gram matrix, the outlier term and the target tables once.
+    """Build the Gram matrix, the outlier term and the target table once.
 
     The clouds are used as given. Raises DegenerateGeometryError when omega
     is positive and the target's bounding box has zero volume, since the
@@ -190,10 +186,8 @@ def build_problem(
     xc = x - center
     tables = {
         "center": center,
-        "target_points": np.hstack([xc, np.ones((n, 1))]),
-        "target_features": np.hstack([x, target.colors, np.ones((n, 1))]),
+        "target_table": np.hstack([xc, np.ones((n, 1)), target.colors]),
         "target_centered_sq": np.einsum("ij,ij->i", xc, xc),
-        "target_sq": np.einsum("ij,ij->i", x, x),
     }
     for table in tables.values():
         table.setflags(write=False)
@@ -253,14 +247,12 @@ def init_state(problem: RegistrationProblem) -> RegistrationState:
     """
     source, params = problem.source, problem.params
     y = source.vertices
-    x = problem.target.vertices
     m, n = len(source), len(problem.target)
     y_bar = y.mean(axis=0)
-    x_bar = problem.center
     mean_d2 = (
-        float(np.sum((y_bar - x_bar) ** 2))
+        float(np.sum((y_bar - problem.center) ** 2))
         + float(np.sum((y - y_bar) ** 2)) / m
-        + float(np.sum((x - x_bar) ** 2)) / n
+        + float(problem.target_centered_sq.sum()) / n
     )
     sigma2 = max(params.gamma * mean_d2 / 3, SIGMA2_FLOOR)
     return RegistrationState(
@@ -311,9 +303,9 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     and P a relative error of the same order. Centering keeps this
     independent of where the clouds sit; at SIGMA2_FLOOR on clouds of unit
     radius it is about 2e-8. Only the sufficient statistics are accumulated:
-    source_mass = P @ 1, target_mass = P.T @ 1, and P @ [x | colors], which
-    give the matched targets and colors. Source points with (near) zero
-    matched mass keep their own moved position and color.
+    target_mass = P.T @ 1, and P @ target_table, which holds source_mass =
+    P @ 1 and gives the matched targets and colors. Source points with
+    (near) zero matched mass keep their own moved position and color.
     """
     source, params = problem.source, problem.params
     y = state.moved_source
@@ -323,15 +315,14 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
         s = state.transform.scale
         log_weight -= s * s * 3.0 * state.displacement_var / (2.0 * state.sigma2)
 
-    # columns: P @ x, P @ colors, P @ 1
+    # columns: P @ (x - center), P @ 1, P @ colors
     moments = np.zeros((m, 7))
     target_mass = np.empty(n)
-    features = problem.target_features
+    table = problem.target_table
     # a[m, n] + q_n = [x_n, 1] . coef[:, m], both clouds centered on the
     # target centroid; q_n = u2 |x_n|^2 is common to a target's column
     u2 = 0.5 / state.sigma2
     yc = y - problem.center
-    xa = problem.target_points
     coef = np.vstack([2.0 * u2 * yc.T, log_weight - u2 * np.einsum("ij,ij->i", yc, yc)])
     q = u2 * problem.target_centered_sq
     step = max(1, E_STEP_CHUNK // m)
@@ -340,7 +331,7 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         a = block[: hi - lo]
-        np.matmul(xa[lo:hi], coef, out=a)
+        np.matmul(table[lo:hi, :4], coef, out=a)
         outlier = problem.log_outlier + q[lo:hi]
         top = np.maximum(a.max(axis=1), outlier)
         # a -= top[:, None] as a rank-1 update, in place on the block; about
@@ -351,15 +342,15 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
         col_mass = a @ ones
         den = col_mass + np.exp(outlier - top)
         target_mass[lo:hi] = col_mass / den
-        moments += a.T @ (features[lo:hi] / den[:, None])
+        moments += a.T @ (table[lo:hi] / den[:, None])
 
-    source_mass = moments[:, 6].copy()
+    source_mass = moments[:, 3].copy()
     total = float(source_mass.sum())
     weak = source_mass < MASS_EPS
-    safe = np.where(weak, 1.0, source_mass)
-    matched_targets = moments[:, :3] / safe[:, None]
+    safe = np.where(weak, 1.0, source_mass)[:, None]
+    matched_targets = moments[:, :3] / safe + problem.center
     matched_targets[weak] = y[weak]
-    matched_colors = moments[:, 3:6] / safe[:, None]
+    matched_colors = moments[:, 4:] / safe
     matched_colors[weak] = source.colors[weak]
     if math.isfinite(params.kappa):
         mixing = (params.kappa + source_mass) / (params.kappa * m + total)
@@ -430,8 +421,7 @@ def _procrustes_similarity(a: np.ndarray, b: np.ndarray, weights: np.ndarray | N
     Returns (scale, Q, shift); Q is a proper rotation. With ``weights`` None
     all points count equally.
     """
-    n = a.shape[0]
-    w = np.ones(n) if weights is None else weights
+    w = np.ones(len(a)) if weights is None else weights
     total = float(w.sum())
     a_bar = w @ a / total
     b_bar = w @ b / total
@@ -458,11 +448,12 @@ def update_similarity(
     expected targets with the per-point masses as weights; the moved source
     and the residual variance are then refreshed under the new transform.
     The variance needs sum_mn P[m, n] |x_n - y'_m|^2 over the moved source
-    y', which expands into the E-step's sufficient statistics, so no
-    distance is recomputed:
+    y'. With both clouds centered on the target centroid c, as in the
+    E-step, it expands into the E-step's sufficient statistics, so no
+    distance is recomputed and an offset of the clouds adds no rounding:
 
-        sum_n target_mass_n |x_n|^2 - 2 sum_m y'_m . (P @ x)_m
-        + sum_m source_mass_m |y'_m|^2,  P @ x = source_mass * matched_targets.
+        sum_n target_mass_n |x_n - c|^2 + sum_m source_mass_m |y'_m - c|^2
+        - 2 sum_m source_mass_m (y'_m - c) . (matched_targets_m - c).
 
     With the sigma correction on, the variance also takes the field's own
     uncertainty, s^2 sum_m source_mass_m displacement_var_m / sum_m
@@ -487,20 +478,21 @@ def update_similarity(
         raise DegenerateGeometryError("estimated scale is not positive")
 
     disp = state.displacement
-    if y.shape[0] > 1:
-        gauge_scale, gauge_rot, gauge_shift = _procrustes_similarity(y, deformed, None)
-        if gauge_scale > 0.0:
-            disp = ((deformed - gauge_shift) @ gauge_rot) / gauge_scale - y
-            trans = scale * (rot @ gauge_shift) + trans
-            rot = rot @ gauge_rot
-            scale = scale * gauge_scale
+    gauge_scale, gauge_rot, gauge_shift = _procrustes_similarity(y, deformed, None)
+    if gauge_scale > 0.0:
+        disp = ((deformed - gauge_shift) @ gauge_rot) / gauge_scale - y
+        trans = scale * (rot @ gauge_shift) + trans
+        rot = rot @ gauge_rot
+        scale = scale * gauge_scale
 
     new_tr = SimilarityTransform(scale, rot, trans)
     moved = new_tr.apply(y + disp)
+    moved_c = moved - problem.center
+    matched_c = state.matched_targets - problem.center
     residual = (
-        float(state.target_mass @ problem.target_sq)
-        - 2.0 * float(np.einsum("ij,ij->", moved, mass[:, None] * state.matched_targets))
-        + float(mass @ np.einsum("ij,ij->i", moved, moved))
+        float(state.target_mass @ problem.target_centered_sq)
+        - 2.0 * float(np.einsum("ij,ij->", moved_c, mass[:, None] * matched_c))
+        + float(mass @ np.einsum("ij,ij->i", moved_c, moved_c))
     )
     sigma2 = residual / (3.0 * total)
     if problem.params.use_sigma_correction:
@@ -544,7 +536,7 @@ def register(
     """Run the full loop until the residual variance stalls or the cap hits.
 
     Both clouds are normalized independently first; the problem (Gram
-    matrix, outlier term, target tables) is built once over the normalized
+    matrix, outlier term, target table) is built once over the normalized
     clouds. The loop is free of randomness, so identical inputs produce
     bitwise-identical results.
     """

@@ -245,8 +245,6 @@ def gmap_ma(records, threshold: FrsThreshold) -> float:
     general metric restricted accordingly.
     """
     records = list(records)
-    if not records:
-        raise EmptyScoresError("no score records")
     types = {r.morph_type for r in records}
     if len(types) > 1:
         raise ValueError(f"expected a single morph type, got {sorted(types)}")
@@ -375,11 +373,17 @@ def read_scores_csv(path) -> list[ScoreRecord]:
     return records
 
 
+def _nonmated_row(row) -> tuple[str, float]:
+    score = float(row["score"])
+    if not math.isfinite(score):
+        raise ValueError(f"non-mated score {row['score']!r} must be finite")
+    return row["frs_id"], score
+
+
 def read_nonmated_csv(path) -> dict:
     """Read `frs_id,score` rows into per-system score lists."""
     scores: dict[str, list[float]] = {}
-    rows = read_csv_rows(path, NONMATED_COLUMNS, lambda row: (row["frs_id"], float(row["score"])))
-    for frs_id, score in rows:
+    for frs_id, score in read_csv_rows(path, NONMATED_COLUMNS, _nonmated_row):
         scores.setdefault(frs_id, []).append(score)
     if not scores:
         raise EmptyScoresError(f"{path}: no non-mated rows")
@@ -395,7 +399,10 @@ def read_ftar_csv(path) -> FtarTable:
         key = (int(row["attempt"]), row["frs_id"])
         if key in rates:
             raise ValueError(f"duplicate row for frs_id {key[1]!r}, attempt {key[0]}")
-        rates[key] = float(row["ftar"])
+        rate = float(row["ftar"])
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"FTAR {row['ftar']!r} must lie in [0, 1]")
+        rates[key] = rate
 
     for _ in read_csv_rows(path, FTAR_COLUMNS, add):
         pass

@@ -204,12 +204,11 @@ class TestBuildProblem:
         problem = build_problem(source, target, params)
         x = target.vertices
         npt.assert_array_equal(problem.gram.values, build_gram(source.vertices, params.beta).values)
-        npt.assert_array_equal(problem.target_points[:, :3], x - x.mean(axis=0))
-        npt.assert_array_equal(problem.target_points[:, 3], 1.0)
-        features = np.hstack([x, target.colors, np.ones((25, 1))])
-        npt.assert_array_equal(problem.target_features, features)
-        npt.assert_array_equal(problem.target_sq, np.einsum("ij,ij->i", x, x))
-        for table in (problem.target_points, problem.target_features, problem.target_sq):
+        xc = x - x.mean(axis=0)
+        npt.assert_array_equal(problem.center, x.mean(axis=0))
+        npt.assert_array_equal(problem.target_table, np.hstack([xc, np.ones((25, 1)), target.colors]))
+        npt.assert_array_equal(problem.target_centered_sq, np.einsum("ij,ij->i", xc, xc))
+        for table in (problem.center, problem.target_table, problem.target_centered_sq):
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
@@ -701,12 +700,35 @@ class TestUpdateSimilarity:
         with pytest.raises(DegenerateGeometryError):
             update_similarity(state, problem)
 
+    def test_one_point_source_raises(self):
+        source = cloud_of([[0.1, 0.2, 0.3]])
+        target = make_cloud(10, seed=27)
+        problem = build_problem(source, target, RegistrationParams())
+        state = replace(init_state(problem), source_mass=np.ones(1))
+        with pytest.raises(DegenerateGeometryError, match="zero scatter"):
+            update_similarity(state, problem)
+
     def test_sigma2_floor_applied(self):
         source = make_cloud(15, seed=26)
         params = RegistrationParams()
         state = exact_correspondence_state(source, source.vertices, params)
         state = update_similarity(state, build_problem(source, source, params))
         assert state.sigma2 >= SIGMA2_FLOOR
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-6, 1e-7])
+    def test_offset_clouds_refresh_the_same_variance(self, sigma2):
+        # the refresh runs in the E-step's frame, centered on the target
+        # centroid, so an offset of 1e3 adds no more than the E-step's error
+        def refreshed_sigma2(offset):
+            state, source, target, params = clustered_e_step_input(sigma2, offset)
+            problem = build_problem(source, target, params)
+            state = update_displacement(e_step(state, problem), problem)
+            return update_similarity(state, problem).sigma2
+
+        state, _, target, _ = clustered_e_step_input(sigma2)
+        bound = 2 * 4.0 * gemm_rounding_unit(state, target)
+        near, far = refreshed_sigma2(0.0), refreshed_sigma2(1e3)
+        assert abs(far - near) / near <= bound
 
 
 class TestIterationInvariants:

@@ -281,6 +281,25 @@ class TestEvalCommand:
         assert str(nonmated) in err
         assert "row 3" in err
 
+    def test_non_finite_nonmated_row_names_file_and_row(self, tmp_path, capsys):
+        scores, _ = write_eval_fixture(tmp_path)
+        nonmated = tmp_path / "nm.csv"
+        nonmated.write_text("frs_id,score\nfrs1,0.5\nfrs1,nan\n")
+        assert cli.main(["eval", str(scores), str(nonmated), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert f"{nonmated}: row 3: " in err
+        assert "finite" in err
+
+    def test_out_of_range_ftar_row_names_file_and_row(self, tmp_path, capsys):
+        scores, nonmated = write_eval_fixture(tmp_path)
+        ftar = tmp_path / "ftar.csv"
+        ftar.write_text("frs_id,attempt,ftar\nfrs1,1,1.5\n")
+        argv = ["eval", str(scores), str(nonmated), "--fmr", "0.002", "--ftar", str(ftar)]
+        assert cli.main([*argv, "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert f"{ftar}: row 2: " in err
+        assert "[0, 1]" in err
+
     def test_omitted_ftar_equals_zero_ftar(self, tmp_path):
         scores, nonmated = write_eval_fixture(tmp_path)
         ftar = tmp_path / "ftar.csv"

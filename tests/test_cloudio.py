@@ -16,6 +16,7 @@ from cloudmorph import (
 )
 from cloudmorph.errors import (
     DegenerateCloudError,
+    IoFailureError,
     MalformedHeaderError,
     MissingPropertyError,
     NonFiniteCoordinateError,
@@ -322,6 +323,13 @@ class TestPly:
         with pytest.raises(OSError) as err:
             load_ply(missing)
         assert "nope.ply" in str(err.value)
+
+    def test_unwritable_path_raises_io_failure(self, tmp_path):
+        path = tmp_path / "missing" / "x.ply"
+        with pytest.raises(IoFailureError) as err:
+            save_ply(make_cloud(5, seed=6), path)
+        assert f"cannot write {path}" in str(err.value)
+        assert not path.parent.exists()
 
 
 class TestNormalize:
