@@ -242,8 +242,11 @@ def init_state(problem: RegistrationProblem) -> RegistrationState:
     source/target distance per coordinate, floored at SIGMA2_FLOOR so
     coincident clouds do not divide by zero. The mean over all M x N pairs
     equals ||mean(y) - mean(x)||^2 + mean ||y - mean(y)||^2
-    + mean ||x - mean(x)||^2, which takes O(M + N). The displacement
-    variance starts at the prior's ones when the correction is on.
+    + mean ||x - mean(x)||^2, which takes O(M + N). With the correction on,
+    the displacement variance starts at the prior's diagonal, 1 / lam (the
+    Gram has a unit diagonal), not at BCPD's Sigma = I: a variance of 1
+    lowers every first log-density by 3 / (2 sigma2), which can send all
+    mass to the outlier term when sigma2 starts small.
     """
     source, params = problem.source, problem.params
     y = source.vertices
@@ -262,7 +265,7 @@ def init_state(problem: RegistrationProblem) -> RegistrationState:
         matched_colors=source.colors.copy(),
         mixing_weights=np.full(m, 1.0 / m),
         displacement=np.zeros((m, 3)),
-        displacement_var=np.ones(m) if params.use_sigma_correction else None,
+        displacement_var=np.full(m, 1.0 / params.lam) if params.use_sigma_correction else None,
         sigma2=sigma2,
         transform=SimilarityTransform.identity(),
         moved_source=y.copy(),

@@ -29,6 +29,7 @@ from .cloudio import PointCloud, denormalize, downsample, load_ply, save_ply
 from .errors import CloudMorphError
 from .metrics import (
     FtarTable,
+    ScoreTable,
     build_report,
     quadrant_counts,
     read_csv_rows,
@@ -356,13 +357,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scores_and_thresholds(args: argparse.Namespace) -> tuple[list, list]:
-    """Score records, and one threshold per system at ``--fmr`` from its
+def _scores_and_thresholds(args: argparse.Namespace) -> tuple[ScoreTable, list]:
+    """Score table, and one threshold per system at ``--fmr`` from its
     non-mated scores."""
     records = read_scores_csv(args.scores)
     nonmated = read_nonmated_csv(args.nonmated)
     thresholds = []
-    for frs_id in sorted({r.frs_id for r in records}):
+    for frs_id in records.frs_ids:
         if frs_id not in nonmated:
             raise ValueError(f"no non-mated scores for frs_id {frs_id!r}")
         thresholds.append(threshold_at_fmr(nonmated[frs_id], args.fmr, frs_id=frs_id))

@@ -14,10 +14,14 @@ aggregates these successes:
 Thresholds are set empirically from non-mated score distributions at a
 chosen false-match rate.
 
-Every value is read from one success table, built once per call: per morph
-type, a 0/1 array over (morph, attempt, system). A system's value is the
-mean of its slice; the cross-system value takes the minimum over the system
-axis, weighted by acquisition rates, before averaging.
+Scores are held column by column in a ScoreTable: integer codes for the
+morph, morph type and system names, the attempt indices and the subject
+scores. The CSV reader streams rows into those arrays, and every function
+that takes records converts them to a table first. Every value is read
+from one success table, built once per call by indexing the columns: per
+morph type, a 0/1 array over (morph, attempt, system). A system's value is
+the mean of its slice; the cross-system value takes the minimum over the
+system axis, weighted by acquisition rates, before averaging.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,8 @@ from .errors import (
 )
 
 QUADRANTS = ("I", "II", "III", "IV")
+# index into QUADRANTS by (score 1 above) + 2 * (score 2 above)
+_QUADRANT_INDEX = (2, 3, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -56,13 +65,93 @@ class ScoreRecord:
 
     def __post_init__(self) -> None:
         scores = tuple(float(s) for s in self.subject_scores)
-        if len(scores) < 2:
-            raise ValueError("a morph needs at least two subject scores")
-        if not all(map(math.isfinite, scores)):
-            raise ValueError("subject scores must be finite")
-        if self.attempt_index < 1:
-            raise ValueError("attempt_index must be >= 1")
+        _check_scores(self.attempt_index, scores)
         object.__setattr__(self, "subject_scores", scores)
+
+
+def _check_scores(attempt_index: int, scores: tuple) -> None:
+    if len(scores) < 2:
+        raise ValueError("a morph needs at least two subject scores")
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("subject scores must be finite")
+    if attempt_index < 1:
+        raise ValueError("attempt_index must be >= 1")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable(Sequence):
+    """Score rows held column by column; a sequence of ScoreRecords.
+
+    ``morph``, ``morph_type`` and ``frs`` hold int32 codes into the name
+    tuples ``morph_ids``, ``morph_types`` and ``frs_ids``, which list each
+    name present once, in sorted order. ``attempt`` holds the attempt
+    indices, and ``scores`` is (rows, width): each row's subject scores,
+    NaN past its last one.
+    """
+
+    morph_ids: tuple
+    morph_types: tuple
+    frs_ids: tuple
+    morph: np.ndarray
+    morph_type: np.ndarray
+    frs: np.ndarray
+    attempt: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def _from_rows(cls, rows, width: int = 2) -> ScoreTable:
+        """Stream ``(morph_id, morph_type, frs_id, attempt, scores)`` rows of
+        at most ``width`` scores into typed arrays, keeping no row object."""
+        morphs, types, systems = {}, {}, {}  # name -> first-seen code
+        codes, attempts, scores = array("i"), array("q"), array("d")
+        padding = (math.nan,) * width
+        for morph_id, morph_type, frs_id, attempt, row_scores in rows:
+            codes.append(morphs.setdefault(morph_id, len(morphs)))
+            codes.append(types.setdefault(morph_type, len(types)))
+            codes.append(systems.setdefault(frs_id, len(systems)))
+            attempts.append(attempt)
+            scores.extend(row_scores)
+            scores.extend(padding[len(row_scores):])
+        codes = np.frombuffer(codes, dtype=np.int32).reshape(-1, 3)
+        names, columns = [], []
+        for k, seen in enumerate((morphs, types, systems)):
+            names.append(tuple(sorted(seen)))
+            rank = np.empty(len(seen), dtype=np.int32)
+            rank[[seen[name] for name in names[-1]]] = np.arange(len(seen))
+            columns.append(rank[codes[:, k]])
+        return cls(
+            *names, *columns, np.frombuffer(attempts, dtype=np.int64),
+            np.frombuffer(scores, dtype=np.float64).reshape(len(codes), width),
+        )
+
+    @classmethod
+    def from_records(cls, records) -> ScoreTable:
+        """The table of ``records`` (ScoreRecords); a ScoreTable is returned
+        as it is."""
+        if isinstance(records, ScoreTable):
+            return records
+        records = list(records)
+        width = max((len(r.subject_scores) for r in records), default=2)
+        return cls._from_rows(
+            ((r.morph_id, r.morph_type, r.frs_id, r.attempt_index, r.subject_scores)
+             for r in records),
+            width,
+        )
+
+    def __len__(self) -> int:
+        return len(self.attempt)
+
+    def __getitem__(self, index: int) -> ScoreRecord:
+        i = range(len(self))[index]
+        scores = self.scores[i]
+        return ScoreRecord(
+            self.morph_ids[self.morph[i]], self.frs_ids[self.frs[i]], int(self.attempt[i]),
+            tuple(scores[~np.isnan(scores)].tolist()), self.morph_types[self.morph_type[i]],
+        )
+
+    def arity(self) -> np.ndarray:
+        """Number of subject scores of each row."""
+        return np.count_nonzero(~np.isnan(self.scores), axis=1)
 
 
 @dataclass(frozen=True)
@@ -162,56 +251,60 @@ def quadrant_classify(record: ScoreRecord, threshold: FrsThreshold) -> str:
             f"quadrants are defined for 2 subjects, record has {len(record.subject_scores)}"
         )
     s1, s2 = record.subject_scores
-    above1 = s1 > threshold.tau
-    above2 = s2 > threshold.tau
-    if above1 and above2:
-        return "I"
-    if above2:
-        return "II"
-    if above1:
-        return "IV"
-    return "III"
+    return QUADRANTS[_QUADRANT_INDEX[(s1 > threshold.tau) + 2 * (s2 > threshold.tau)]]
 
 
-def _success_tables(records, thresholds) -> tuple[list, list, list]:
+def _taus(table: ScoreTable, thresholds) -> np.ndarray:
+    """Threshold of each system of ``table``, indexed by its code;
+    MissingThresholdError names the first system, in sorted order, that has
+    none."""
+    tau = {t.frs_id: t.tau for t in thresholds}
+    for frs_id in table.frs_ids:
+        if frs_id not in tau:
+            raise MissingThresholdError(f"no threshold for frs_id {frs_id!r}")
+    return np.array([tau[frs_id] for frs_id in table.frs_ids], dtype=np.float64)
+
+
+def _success_tables(table: ScoreTable, thresholds) -> tuple[list, list, list]:
     """Sorted attempts, sorted systems, and per morph type (sorted) a 0/1
     array over (sorted morphs, attempts, systems): 1 where every subject
-    score of the cell's record exceeds the system's threshold.
+    score of the cell's row exceeds the system's threshold.
 
     Raises MissingThresholdError for a system without a threshold, and
     RaggedDataError naming the first duplicate cell in input order, then the
-    first missing cell in type, morph, attempt, system order.
+    first missing cell in type, morph, attempt, system order. Both come from
+    one stable sort of the rows' flat cell indices.
     """
-    tau = {frs_id: t.tau for frs_id, t in _thresholds_by_frs(records, thresholds).items()}
-    systems = list(tau)
-    attempts = sorted({r.attempt_index for r in records})
-    types = sorted({r.morph_type for r in records})
-    morphs = {d: sorted({r.morph_id for r in records if r.morph_type == d}) for d in types}
-    morph_pos = {d: {m: j for j, m in enumerate(ids)} for d, ids in morphs.items()}
-    attempt_pos = {a: i for i, a in enumerate(attempts)}
-    frs_pos = {f: k for k, f in enumerate(systems)}
-    # NaN marks a cell no record has filled yet
-    tables = {d: np.full((len(morphs[d]), len(attempts), len(systems)), np.nan)
-              for d in types}
-    for rec in records:
-        cell = (morph_pos[rec.morph_type][rec.morph_id],
-                attempt_pos[rec.attempt_index], frs_pos[rec.frs_id])
-        table = tables[rec.morph_type]
-        if not np.isnan(table[cell]):
-            raise RaggedDataError(
-                f"duplicate cell: type={rec.morph_type!r} morph={rec.morph_id!r} "
-                f"attempt={rec.attempt_index} frs={rec.frs_id!r}"
-            )
-        table[cell] = min(rec.subject_scores) > tau[rec.frs_id]
-    for d in types:
-        missing = np.argwhere(np.isnan(tables[d]))
-        if missing.size:
-            j, i, k = missing[0]
-            raise RaggedDataError(
-                f"missing cell: type={d!r} morph={morphs[d][j]!r} "
-                f"attempt={attempts[i]} frs={systems[k]!r}"
-            )
-    return attempts, systems, [tables[d] for d in types]
+    hits = np.fmin.reduce(table.scores, axis=1) > _taus(table, thresholds)[table.frs]
+    attempts, attempt_pos = np.unique(table.attempt, return_inverse=True)
+    types, morphs, systems = table.morph_types, table.morph_ids, table.frs_ids
+    # one table row per (type, morph) present, in type then morph order
+    pairs, row = np.unique(table.morph_type * np.int64(len(morphs)) + table.morph,
+                           return_inverse=True)
+    cells = (row * len(attempts) + attempt_pos) * len(systems) + table.frs
+    order = np.argsort(cells, kind="stable")
+    ordered = cells[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        i = repeats.min()
+        raise RaggedDataError(
+            f"duplicate cell: type={types[table.morph_type[i]]!r} "
+            f"morph={morphs[table.morph[i]]!r} "
+            f"attempt={int(table.attempt[i])} frs={systems[table.frs[i]]!r}"
+        )
+    shape = (len(pairs), len(attempts), len(systems))
+    if len(cells) < math.prod(shape):
+        gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
+        j, i, k = np.unravel_index(gaps[0] if gaps.size else len(ordered), shape)
+        d, m = divmod(int(pairs[j]), len(morphs))
+        raise RaggedDataError(
+            f"missing cell: type={types[d]!r} morph={morphs[m]!r} "
+            f"attempt={int(attempts[i])} frs={systems[k]!r}"
+        )
+    success = np.empty(shape)
+    success.reshape(-1)[cells] = hits
+    rows_per_type = np.bincount(pairs // len(morphs), minlength=len(types))
+    return attempts.tolist(), list(systems), np.split(success, np.cumsum(rows_per_type)[:-1])
 
 
 def _percent(tables, attempts, systems, ftar: FtarTable | None = None) -> float:
@@ -220,6 +313,14 @@ def _percent(tables, attempts, systems, ftar: FtarTable | None = None) -> float:
     ftar = ftar if ftar is not None else FtarTable()
     kept = np.array([[1.0 - ftar.get(a, f) for f in systems] for a in attempts])
     return 100.0 * float(np.mean([float((t * kept).min(axis=2).mean()) for t in tables]))
+
+
+def _table(records) -> ScoreTable:
+    """``records`` as a ScoreTable; EmptyScoresError when there are none."""
+    table = ScoreTable.from_records(records)
+    if not len(table):
+        raise EmptyScoresError("no score records")
+    return table
 
 
 def gmap(records, thresholds, ftar: FtarTable | None = None) -> float:
@@ -231,10 +332,7 @@ def gmap(records, thresholds, ftar: FtarTable | None = None) -> float:
     averaged. Requires a rectangular table: every morph must be scored for
     every attempt under every system, otherwise RaggedDataError is raised.
     """
-    records = list(records)
-    if not records:
-        raise EmptyScoresError("no score records")
-    attempts, systems, tables = _success_tables(records, thresholds)
+    attempts, systems, tables = _success_tables(_table(records), thresholds)
     return _percent(tables, attempts, systems, ftar)
 
 
@@ -244,11 +342,10 @@ def gmap_ma(records, threshold: FrsThreshold) -> float:
     Expects records from one system and one generation type; equals the
     general metric restricted accordingly.
     """
-    records = list(records)
-    types = {r.morph_type for r in records}
-    if len(types) > 1:
-        raise ValueError(f"expected a single morph type, got {sorted(types)}")
-    return gmap(records, [threshold], FtarTable())
+    table = ScoreTable.from_records(records)
+    if len(table.morph_types) > 1:
+        raise ValueError(f"expected a single morph type, got {list(table.morph_types)}")
+    return gmap(table, [threshold], FtarTable())
 
 
 def gmap_mamf(records, thresholds, ftar: FtarTable | None = None) -> float:
@@ -257,28 +354,19 @@ def gmap_mamf(records, thresholds, ftar: FtarTable | None = None) -> float:
     Each (attempt, morph) cell takes the minimum over systems of
     success * (1 - failure-to-acquire) before averaging.
     """
-    records = list(records)
-    if not records:
-        raise EmptyScoresError("no score records")
-    frs_present = {r.frs_id for r in records}
-    if len(frs_present) < 2:
+    table = _table(records)
+    if len(table.frs_ids) < 2:
         raise ValueError("the cross-system metric needs at least two systems")
-    types = {r.morph_type for r in records}
-    if len(types) > 1:
-        raise ValueError(f"expected a single morph type, got {sorted(types)}")
-    return gmap(records, thresholds, ftar)
+    if len(table.morph_types) > 1:
+        raise ValueError(f"expected a single morph type, got {list(table.morph_types)}")
+    return gmap(table, thresholds, ftar)
 
 
-def _thresholds_by_frs(records, thresholds) -> dict:
-    """frs_id -> threshold for every system in ``records``, in sorted order;
-    MissingThresholdError when one has none."""
-    threshold_map = {t.frs_id: t for t in thresholds}
-    by_frs = {}
-    for frs_id in sorted({r.frs_id for r in records}):
-        if frs_id not in threshold_map:
-            raise MissingThresholdError(f"no threshold for frs_id {frs_id!r}")
-        by_frs[frs_id] = threshold_map[frs_id]
-    return by_frs
+def _quadrants(table: ScoreTable, taus: np.ndarray) -> np.ndarray:
+    """Index into QUADRANTS of each row's first two scores against its
+    system's threshold, as quadrant_classify gives it."""
+    tau = taus[table.frs]
+    return np.take(_QUADRANT_INDEX, (table.scores[:, 0] > tau) + 2 * (table.scores[:, 1] > tau))
 
 
 def quadrant_counts(records, thresholds) -> dict:
@@ -287,13 +375,12 @@ def quadrant_counts(records, thresholds) -> dict:
     Only two-subject records have a quadrant; records of more subjects are
     not counted.
     """
-    records = list(records)
-    by_frs = _thresholds_by_frs(records, thresholds)
-    counts = {frs_id: {q: 0 for q in QUADRANTS} for frs_id in by_frs}
-    for rec in records:
-        if len(rec.subject_scores) == 2:
-            counts[rec.frs_id][quadrant_classify(rec, by_frs[rec.frs_id])] += 1
-    return counts
+    table = ScoreTable.from_records(records)
+    two = table.arity() == 2
+    quadrant = _quadrants(table, _taus(table, thresholds))
+    counts = np.bincount(table.frs[two] * 4 + quadrant[two], minlength=4 * len(table.frs_ids))
+    return {frs_id: dict(zip(QUADRANTS, row))
+            for frs_id, row in zip(table.frs_ids, counts.reshape(-1, 4).tolist())}
 
 
 def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapReport:
@@ -302,12 +389,11 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
 
     Per-system values ignore failure-to-acquire by definition; the
     cross-system value honours the supplied table. Records of more than two
-    subjects count in both values but in no quadrant.
+    subjects count in both values but in no quadrant. ``n_morphs`` counts
+    the (type, morph) rows of the success table.
     """
-    records = list(records)
-    if not records:
-        raise EmptyScoresError("no score records")
-    attempts, systems, tables = _success_tables(records, thresholds)
+    table = _table(records)
+    attempts, systems, tables = _success_tables(table, thresholds)
     per_frs = {
         frs_id: _percent([t[:, :, [k]] for t in tables], attempts, [frs_id])
         for k, frs_id in enumerate(systems)
@@ -316,8 +402,8 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
     return GmapReport(
         per_frs=per_frs,
         cross_frs=cross,
-        quadrant_counts=quadrant_counts(records, thresholds),
-        n_morphs=len({r.morph_id for r in records}),
+        quadrant_counts=quadrant_counts(table, thresholds),
+        n_morphs=sum(len(t) for t in tables),
         n_attempts=len(attempts),
     )
 
@@ -329,14 +415,16 @@ def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapRepo
 SCORES_COLUMNS = ("morph_id", "morph_type", "frs_id", "attempt", "score_s1", "score_s2")
 NONMATED_COLUMNS = ("frs_id", "score")
 FTAR_COLUMNS = ("frs_id", "attempt", "ftar")
+SCATTER_CHUNK = 4096  # rows formatted at a time by write_scatter_csv
 
 
 def read_csv_rows(path, columns, parse):
     """Yield ``parse(row)`` for each row (a dict by column) of a CSV file.
 
-    A header lacking any of ``columns`` raises one ValueError naming them all;
-    a TypeError or ValueError from ``parse`` is raised again as
-    ``"{path}: row {n}: {exc}"``, the header being row 1."""
+    A header lacking any of ``columns`` raises one ValueError naming them all.
+    A row with more fields than the header, or a TypeError or ValueError
+    from ``parse``, is raised as ``"{path}: row {n}: {exc}"``, the header
+    being row 1. A shorter row gives None for the columns it lacks."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -346,6 +434,9 @@ def read_csv_rows(path, columns, parse):
             raise ValueError(f"{path}: missing columns {missing}; found {have}")
         for row_num, row in enumerate(reader, start=2):
             try:
+                if None in row:
+                    raise ValueError(
+                        f"{len(have) + len(row[None])} fields, the header has {len(have)}")
                 item = parse(row)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: row {row_num}: {exc}") from exc
@@ -360,17 +451,29 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _score_record(row) -> ScoreRecord:
-    return ScoreRecord(row["morph_id"], row["frs_id"], int(row["attempt"]),
-                       (float(row["score_s1"]), float(row["score_s2"])), row["morph_type"])
+_score_fields = itemgetter(*SCORES_COLUMNS)
 
 
-def read_scores_csv(path) -> list[ScoreRecord]:
-    """Read `morph_id,morph_type,frs_id,attempt,score_s1,score_s2` rows."""
-    records = list(read_csv_rows(path, SCORES_COLUMNS, _score_record))
-    if not records:
+def _score_row(row) -> tuple:
+    fields = _score_fields(row)
+    if None in fields:
+        raise ValueError(f"no value for column {SCORES_COLUMNS[fields.index(None)]!r}")
+    morph_id, morph_type, frs_id, attempt, s1, s2 = fields
+    attempt = int(attempt)
+    if attempt >= 2**63:
+        raise ValueError(f"attempt {attempt} does not fit in 64 bits")
+    scores = (float(s1), float(s2))
+    _check_scores(attempt, scores)
+    return morph_id, morph_type, frs_id, attempt, scores
+
+
+def read_scores_csv(path) -> ScoreTable:
+    """Read `morph_id,morph_type,frs_id,attempt,score_s1,score_s2` rows,
+    streamed into a ScoreTable."""
+    table = ScoreTable._from_rows(read_csv_rows(path, SCORES_COLUMNS, _score_row))
+    if not len(table):
         raise EmptyScoresError(f"{path}: no score rows")
-    return records
+    return table
 
 
 def _nonmated_row(row) -> tuple[str, float]:
@@ -429,12 +532,27 @@ def write_scatter_csv(records, thresholds, path) -> None:
     a threshold or with other than two subject scores raises and leaves no
     file behind.
     """
-    records = list(records)
-    by_frs = _thresholds_by_frs(records, thresholds)
-    quads = [quadrant_classify(rec, by_frs[rec.frs_id]) for rec in records]
-    write_csv_rows(
-        path,
-        ["morph_id", "frs_id", "attempt", "score_s1", "score_s2", "quadrant"],
-        ([rec.morph_id, rec.frs_id, rec.attempt_index, *map(repr, rec.subject_scores), quad]
-         for rec, quad in zip(records, quads)),
-    )
+    table = ScoreTable.from_records(records)
+    taus = _taus(table, thresholds)
+    arity = table.arity()
+    odd = np.flatnonzero(arity != 2)
+    if odd.size:
+        raise UnsupportedArityError(
+            f"quadrants are defined for 2 subjects, record has {arity[odd[0]]}"
+        )
+    quadrant = _quadrants(table, taus)
+
+    def rows():
+        for lo in range(0, len(table), SCATTER_CHUNK):
+            part = slice(lo, lo + SCATTER_CHUNK)
+            yield from zip(
+                map(table.morph_ids.__getitem__, table.morph[part].tolist()),
+                map(table.frs_ids.__getitem__, table.frs[part].tolist()),
+                table.attempt[part].tolist(),
+                map(repr, table.scores[part, 0].tolist()),
+                map(repr, table.scores[part, 1].tolist()),
+                map(QUADRANTS.__getitem__, quadrant[part].tolist()),
+            )
+
+    write_csv_rows(path, ["morph_id", "frs_id", "attempt", "score_s1", "score_s2", "quadrant"],
+                   rows())

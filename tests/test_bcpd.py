@@ -162,10 +162,10 @@ class TestInitState:
         assert state.displacement_var is None
         npt.assert_array_equal(state.moved_source, source.vertices)
         npt.assert_allclose(state.mixing_weights, 0.1)
-        corrected = init_state(
-            build_problem(source, target, RegistrationParams(use_sigma_correction=True))
-        )
-        npt.assert_array_equal(corrected.displacement_var, np.ones(10))
+        # the correction starts at the prior's diagonal 1 / lam, not BCPD's ones
+        params = RegistrationParams(lam=8.0, use_sigma_correction=True)
+        corrected = init_state(build_problem(source, target, params))
+        npt.assert_array_equal(corrected.displacement_var, np.full(10, 0.125))
 
     def test_gamma_scales(self):
         source = cloud_of([[1.0, 0.0, 0.0]])
@@ -790,6 +790,22 @@ class TestRegister:
         )
         assert result.state.sigma2 >= SIGMA2_FLOOR
         assert len(result.sigma2_history) == result.iterations + 1
+
+    def test_sigma_correction_first_e_step_keeps_matches(self):
+        # with a small gamma the start sigma2 is tiny; a displacement variance
+        # of 1 would lower every log-density by 3 s^2 / (2 sigma2), hundreds
+        # of nats, and send all mass to the outlier term
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=(500, 3))
+        x = y + 0.01 * rng.normal(size=(500, 3))
+        source, target = cloud_of(y, "s"), cloud_of(x, "t")
+        params = RegistrationParams(gamma=0.01, use_sigma_correction=True)
+        problem = build_problem(*(normalize(c)[0] for c in (source, target)), params)
+        first = e_step(init_state(problem), problem)
+        assert first.source_mass.sum() > 0.5 * len(y)
+        result = register(source, target, params)
+        assert result.converged
+        assert result.state.sigma2 < 1e-3
 
     @pytest.mark.parametrize("noise", [0.003, 0.01])
     def test_sigma_correction_keeps_injected_variance(self, noise):

@@ -196,6 +196,15 @@ class TestPipelineCommand:
         assert cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "x")]) == 1
         assert "row 3: bad alpha 'half'" in capsys.readouterr().err
 
+    def test_row_with_extra_field_names_row(self, cloud_files, tmp_path, capsys):
+        rows = [
+            f"{cloud_files['a']},{cloud_files['b']},morph_ab",
+            f"{cloud_files['c']},{cloud_files['d']},morph_cd,0.4,extra",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        assert cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "x")]) == 1
+        assert "row 3: 5 fields, the header has 4" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, cloud_files, tmp_path):
         pairs = self.write_pairs(tmp_path, cloud_files)
         out1 = tmp_path / "run1"

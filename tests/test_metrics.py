@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cloudmorph import (
     FrsThreshold,
     FtarTable,
     ScoreRecord,
+    ScoreTable,
     build_report,
     gmap,
     gmap_ma,
@@ -55,6 +58,40 @@ def oracle_gmap(records, taus, ftar_map):
                 acc += worst
         total += acc / (len(morphs) * len(attempts))
     return 100.0 * total / len(types)
+
+
+def oracle_ragged_message(records):
+    """RaggedDataError message for the first duplicate cell in input order,
+    else for the first missing cell in type, morph, attempt, system order;
+    None for a rectangular table."""
+    seen = set()
+    for r in records:
+        cell = (r.morph_type, r.morph_id, r.attempt_index, r.frs_id)
+        if cell in seen:
+            return (f"duplicate cell: type={r.morph_type!r} morph={r.morph_id!r} "
+                    f"attempt={r.attempt_index} frs={r.frs_id!r}")
+        seen.add(cell)
+    attempts = sorted({r.attempt_index for r in records})
+    systems = sorted({r.frs_id for r in records})
+    for d in sorted({r.morph_type for r in records}):
+        for j in sorted({r.morph_id for r in records if r.morph_type == d}):
+            for i in attempts:
+                for l in systems:
+                    if (d, j, i, l) not in seen:
+                        return f"missing cell: type={d!r} morph={j!r} attempt={i} frs={l!r}"
+    return None
+
+
+def oracle_quadrant_counts(records, taus):
+    """Per system, two-subject records by quadrant, from the definition."""
+    counts = {f: dict.fromkeys(QUADRANTS, 0) for f in sorted({r.frs_id for r in records})}
+    for r in records:
+        if len(r.subject_scores) == 2:
+            above1, above2 = (s > taus[r.frs_id] for s in r.subject_scores)
+            quadrant = {(True, True): "I", (False, True): "II",
+                        (False, False): "III", (True, False): "IV"}[above1, above2]
+            counts[r.frs_id][quadrant] += 1
+    return counts
 
 
 def random_table(rng, n_frs=None, n_morphs=None, n_attempts=None, n_types=1):
@@ -457,6 +494,97 @@ class TestBuildReport:
         assert build_report(records, thresholds) == expected
 
 
+class TestScoreTable:
+    def test_sequence_of_records(self):
+        records = TestBuildReport().make_inputs()[0] + [
+            ScoreRecord("C", "frs1", 3, (0.9, 0.8, 0.7), morph_type="other"),
+        ]
+        table = ScoreTable.from_records(records)
+        assert len(table) == len(records)
+        assert list(table) == records
+        assert table[-1] == records[-1]
+        assert table.frs_ids == ("frs1", "frs2")
+        assert ScoreTable.from_records(table) is table
+        with pytest.raises(IndexError):
+            table[len(records)]
+
+    def test_table_path_matches_record_oracle(self):
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            records, taus, thresholds, ftar_map = random_table(
+                rng, n_types=int(rng.integers(1, 4)), n_morphs=int(rng.integers(2, 9))
+            )
+            if trial % 2:  # a third subject on some records
+                records = [
+                    ScoreRecord(r.morph_id, r.frs_id, r.attempt_index,
+                                r.subject_scores + (float(rng.uniform()),), r.morph_type)
+                    if rng.uniform() < 0.5 else r
+                    for r in records
+                ]
+            rng.shuffle(records)
+            ftar = FtarTable(ftar_map)
+            table = ScoreTable.from_records(records)
+            assert list(table) == records
+            assert gmap(table, thresholds, ftar) == pytest.approx(
+                oracle_gmap(records, taus, ftar_map), abs=1e-12
+            )
+            report = build_report(records, thresholds, ftar)
+            assert report.cross_frs == gmap(records, thresholds, ftar)
+            assert report.quadrant_counts == oracle_quadrant_counts(records, taus)
+            assert quadrant_counts(table, thresholds) == report.quadrant_counts
+            assert report.n_morphs == len({(r.morph_type, r.morph_id) for r in records})
+
+            dropped = list(records)
+            del dropped[int(rng.integers(len(dropped)))]
+            copy = records[int(rng.integers(len(records)))]
+            doubled = list(records)
+            doubled.insert(int(rng.integers(len(records) + 1)), record(
+                copy.morph_id, copy.frs_id, copy.attempt_index, 0.5, 0.5, copy.morph_type))
+            for broken in (dropped, doubled, dropped + doubled[:3]):
+                expected = oracle_ragged_message(broken)
+                if expected is None:  # a dropped lone cell can leave a rectangle
+                    continue
+                for compute in (gmap, build_report):
+                    with pytest.raises(RaggedDataError) as err:
+                        compute(broken, thresholds, ftar)
+                    assert str(err.value) == expected
+
+            kept = [t for t in thresholds if t.frs_id != sorted(taus)[0]]
+            for compute in (gmap, build_report, quadrant_counts):
+                with pytest.raises(MissingThresholdError) as err:
+                    compute(table, kept)
+                assert str(err.value) == f"no threshold for frs_id {sorted(taus)[0]!r}"
+
+    def test_n_morphs_counts_type_morph_rows(self):
+        records = [
+            record("A", "frs1", 1, 0.9, 0.8, morph_type="t1"),
+            record("A", "frs1", 1, 0.9, 0.8, morph_type="t2"),
+            record("B", "frs1", 1, 0.9, 0.8, morph_type="t2"),
+        ]
+        assert build_report(records, [FrsThreshold("frs1", 0.5, 0.001)]).n_morphs == 3
+
+    def test_read_keeps_no_object_per_row(self, tmp_path):
+        # typed columns take 36 B per row (three int32 codes, an int64
+        # attempt, two float64 scores); one ScoreRecord per row took ~370 B
+        rng = np.random.default_rng(43)
+        rows = 20000
+        lines = ["morph_id,morph_type,frs_id,attempt,score_s1,score_s2"]
+        for i in range(rows):
+            j, rest = divmod(i, 12)
+            lines.append(f"m{j},t{j % 2},frs{rest % 3},{rest // 3 + 1},"
+                         f"{rng.uniform()!r},{rng.uniform()!r}")
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            table = read_scores_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == rows
+        assert peak / rows < 100
+
+
 class TestCsvInterfaces:
     def test_scores_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -480,6 +608,36 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError) as err:
             read_scores_csv(path)
         assert "row 3" in str(err.value)
+
+    def test_scores_row_with_extra_field_is_rejected(self, tmp_path):
+        # the dropped 0.1 would have made the cell a failure
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "morph_id,morph_type,frs_id,attempt,score_s1,score_s2\n"
+            "A,default,frs1,1,0.9,0.8,0.1\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_scores_csv(path)
+        assert str(err.value) == f"{path}: row 2: 7 fields, the header has 6"
+
+    def test_scores_short_row_names_the_empty_column(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "morph_id,morph_type,frs_id,attempt,score_s1,score_s2\n"
+            "A,default,frs1,1,0.9\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_scores_csv(path)
+        assert str(err.value) == f"{path}: row 2: no value for column 'score_s2'"
+
+    def test_scores_attempt_beyond_64_bits_names_row(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "morph_id,morph_type,frs_id,attempt,score_s1,score_s2\n"
+            f"A,default,frs1,{2**63},0.9,0.8\n"
+        )
+        with pytest.raises(ValueError, match="row 2: attempt"):
+            read_scores_csv(path)
 
     def test_scores_missing_column(self, tmp_path):
         path = tmp_path / "scores.csv"
