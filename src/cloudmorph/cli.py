@@ -116,7 +116,7 @@ def _add_registration_flags(parser: argparse.ArgumentParser) -> None:
                         action="store_true", default=_DEFAULTS.use_sigma_correction,
                         help="include the posterior-covariance correction term")
     parser.add_argument("--downsample", type=int, default=2000,
-                        help="random subsample size per cloud; 0 keeps all points")
+                        help="random subsample size per cloud (>= 0); 0 keeps all points")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
@@ -191,6 +191,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _params_from_args(args: argparse.Namespace) -> RegistrationParams:
+    """Registration parameters of ``args``; a negative ``--downsample`` is
+    rejected here, before any input is read."""
+    if args.downsample < 0:
+        raise ValueError(f"--downsample must be >= 0, got {args.downsample}")
     values = {f.name: getattr(args, f.name) for f in fields(RegistrationParams)}
     return RegistrationParams(**values)
 
@@ -297,6 +301,8 @@ def _pairing_row(row: dict) -> dict:
         alpha = float(alpha_text) if alpha_text else None
     except ValueError as exc:
         raise ValueError(f"bad alpha {alpha_text!r}") from exc
+    if row["morph_id"] in (".", "..") or Path(row["morph_id"]).name != row["morph_id"]:
+        raise ValueError(f"morph_id {row['morph_id']!r} is not a plain file name")
     return {"subject_a": row["subject_a"], "subject_b": row["subject_b"],
             "morph_id": row["morph_id"], "alpha": alpha}
 

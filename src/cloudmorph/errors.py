@@ -41,10 +41,6 @@ class EmptyScoresError(CloudMorphError):
     """A score collection that must be non-empty is empty."""
 
 
-class UnsupportedArityError(CloudMorphError):
-    """Quadrant classification is defined only for two-subject morphs."""
-
-
 class MissingThresholdError(CloudMorphError):
     """No threshold supplied for a recognition system present in the scores."""
 

@@ -1,9 +1,9 @@
 """Attack-potential metrics over face-recognition comparison scores.
 
 A score table holds one row per (morph, probe attempt, recognition system)
-with the similarity scores of every subject who contributed to the morph.
-A morph defeats a system on an attempt when every contributing subject's
-score strictly exceeds that system's threshold. The metric family
+with the similarity scores of the two subjects who contributed to the
+morph. A morph defeats a system on an attempt when both subjects' scores
+strictly exceed that system's threshold. The metric family
 aggregates these successes:
 
 - per system, averaged over morphs and attempts (the "single system" value),
@@ -15,13 +15,14 @@ Thresholds are set empirically from non-mated score distributions at a
 chosen false-match rate.
 
 Scores are held column by column in a ScoreTable: integer codes for the
-morph, morph type and system names, the attempt indices and the subject
-scores. The CSV reader streams rows into those arrays, and every function
-that takes records converts them to a table first. Every value is read
-from one success table, built once per call by indexing the columns: per
-morph type, a 0/1 array over (morph, attempt, system). A system's value is
-the mean of its slice; the cross-system value takes the minimum over the
-system axis, weighted by acquisition rates, before averaging.
+morph, morph type and system names, the attempt indices and the two
+subject scores. The CSV reader streams rows into those arrays, and every
+function that takes records converts them to a table first. Every value
+is read from one success table, built once per call by indexing the
+columns: per morph type, a 0/1 array over (morph, attempt, system). A
+system's value is the mean of its slice; the cross-system value takes the
+minimum over the system axis, weighted by acquisition rates, before
+averaging.
 """
 
 from __future__ import annotations
@@ -30,19 +31,13 @@ import csv
 import math
 import warnings
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyScoresError,
-    MissingThresholdError,
-    RaggedDataError,
-    UnsupportedArityError,
-)
+from .errors import EmptyScoresError, MissingThresholdError, RaggedDataError
 
 QUADRANTS = ("I", "II", "III", "IV")
 # index into QUADRANTS by (score 1 above) + 2 * (score 2 above)
@@ -53,14 +48,14 @@ _QUADRANT_INDEX = (2, 3, 1, 0)
 class ScoreRecord:
     """Scores of one morph probed in one attempt against one system.
 
-    subject_scores holds one similarity score per contributing subject
-    (two for a standard morph); morph_type labels the generation method.
+    subject_scores holds the similarity scores of the morph's two subjects;
+    morph_type labels the generation method.
     """
 
     morph_id: str
     frs_id: str
     attempt_index: int
-    subject_scores: tuple[float, ...]
+    subject_scores: tuple[float, float]
     morph_type: str = "default"
 
     def __post_init__(self) -> None:
@@ -70,8 +65,8 @@ class ScoreRecord:
 
 
 def _check_scores(attempt_index: int, scores: tuple) -> None:
-    if len(scores) < 2:
-        raise ValueError("a morph needs at least two subject scores")
+    if len(scores) != 2:
+        raise ValueError(f"a morph has two subject scores, got {len(scores)}")
     if not all(map(math.isfinite, scores)):
         raise ValueError("subject scores must be finite")
     if attempt_index < 1:
@@ -79,14 +74,13 @@ def _check_scores(attempt_index: int, scores: tuple) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreTable(Sequence):
-    """Score rows held column by column; a sequence of ScoreRecords.
+class ScoreTable:
+    """Two-subject score rows held column by column.
 
     ``morph``, ``morph_type`` and ``frs`` hold int32 codes into the name
     tuples ``morph_ids``, ``morph_types`` and ``frs_ids``, which list each
     name present once, in sorted order. ``attempt`` holds the attempt
-    indices, and ``scores`` is (rows, width): each row's subject scores,
-    NaN past its last one.
+    indices, and ``scores`` is (rows, 2): each row's two subject scores.
     """
 
     morph_ids: tuple
@@ -99,19 +93,17 @@ class ScoreTable(Sequence):
     scores: np.ndarray
 
     @classmethod
-    def _from_rows(cls, rows, width: int = 2) -> ScoreTable:
+    def _from_rows(cls, rows) -> ScoreTable:
         """Stream ``(morph_id, morph_type, frs_id, attempt, scores)`` rows of
-        at most ``width`` scores into typed arrays, keeping no row object."""
+        two scores into typed arrays, keeping no row object."""
         morphs, types, systems = {}, {}, {}  # name -> first-seen code
         codes, attempts, scores = array("i"), array("q"), array("d")
-        padding = (math.nan,) * width
         for morph_id, morph_type, frs_id, attempt, row_scores in rows:
             codes.append(morphs.setdefault(morph_id, len(morphs)))
             codes.append(types.setdefault(morph_type, len(types)))
             codes.append(systems.setdefault(frs_id, len(systems)))
             attempts.append(attempt)
             scores.extend(row_scores)
-            scores.extend(padding[len(row_scores):])
         codes = np.frombuffer(codes, dtype=np.int32).reshape(-1, 3)
         names, columns = [], []
         for k, seen in enumerate((morphs, types, systems)):
@@ -121,7 +113,7 @@ class ScoreTable(Sequence):
             columns.append(rank[codes[:, k]])
         return cls(
             *names, *columns, np.frombuffer(attempts, dtype=np.int64),
-            np.frombuffer(scores, dtype=np.float64).reshape(len(codes), width),
+            np.frombuffer(scores, dtype=np.float64).reshape(len(codes), 2),
         )
 
     @classmethod
@@ -130,28 +122,13 @@ class ScoreTable(Sequence):
         as it is."""
         if isinstance(records, ScoreTable):
             return records
-        records = list(records)
-        width = max((len(r.subject_scores) for r in records), default=2)
         return cls._from_rows(
-            ((r.morph_id, r.morph_type, r.frs_id, r.attempt_index, r.subject_scores)
-             for r in records),
-            width,
+            (r.morph_id, r.morph_type, r.frs_id, r.attempt_index, r.subject_scores)
+            for r in records
         )
 
     def __len__(self) -> int:
         return len(self.attempt)
-
-    def __getitem__(self, index: int) -> ScoreRecord:
-        i = range(len(self))[index]
-        scores = self.scores[i]
-        return ScoreRecord(
-            self.morph_ids[self.morph[i]], self.frs_ids[self.frs[i]], int(self.attempt[i]),
-            tuple(scores[~np.isnan(scores)].tolist()), self.morph_types[self.morph_type[i]],
-        )
-
-    def arity(self) -> np.ndarray:
-        """Number of subject scores of each row."""
-        return np.count_nonzero(~np.isnan(self.scores), axis=1)
 
 
 @dataclass(frozen=True)
@@ -246,10 +223,6 @@ def quadrant_classify(record: ScoreRecord, threshold: FrsThreshold) -> str:
     second, "IV" only the first, "III" neither. Comparisons are strict, so
     a score equal to the threshold does not count as above it.
     """
-    if len(record.subject_scores) != 2:
-        raise UnsupportedArityError(
-            f"quadrants are defined for 2 subjects, record has {len(record.subject_scores)}"
-        )
     s1, s2 = record.subject_scores
     return QUADRANTS[_QUADRANT_INDEX[(s1 > threshold.tau) + 2 * (s2 > threshold.tau)]]
 
@@ -267,15 +240,15 @@ def _taus(table: ScoreTable, thresholds) -> np.ndarray:
 
 def _success_tables(table: ScoreTable, thresholds) -> tuple[list, list, list]:
     """Sorted attempts, sorted systems, and per morph type (sorted) a 0/1
-    array over (sorted morphs, attempts, systems): 1 where every subject
-    score of the cell's row exceeds the system's threshold.
+    array over (sorted morphs, attempts, systems): 1 where both subject
+    scores of the cell's row exceed the system's threshold.
 
     Raises MissingThresholdError for a system without a threshold, and
     RaggedDataError naming the first duplicate cell in input order, then the
     first missing cell in type, morph, attempt, system order. Both come from
     one stable sort of the rows' flat cell indices.
     """
-    hits = np.fmin.reduce(table.scores, axis=1) > _taus(table, thresholds)[table.frs]
+    hits = table.scores.min(axis=1) > _taus(table, thresholds)[table.frs]
     attempts, attempt_pos = np.unique(table.attempt, return_inverse=True)
     types, morphs, systems = table.morph_types, table.morph_ids, table.frs_ids
     # one table row per (type, morph) present, in type then morph order
@@ -363,34 +336,29 @@ def gmap_mamf(records, thresholds, ftar: FtarTable | None = None) -> float:
 
 
 def _quadrants(table: ScoreTable, taus: np.ndarray) -> np.ndarray:
-    """Index into QUADRANTS of each row's first two scores against its
-    system's threshold, as quadrant_classify gives it."""
+    """Index into QUADRANTS of each row's two scores against its system's
+    threshold, as quadrant_classify gives it."""
     tau = taus[table.frs]
     return np.take(_QUADRANT_INDEX, (table.scores[:, 0] > tau) + 2 * (table.scores[:, 1] > tau))
 
 
 def quadrant_counts(records, thresholds) -> dict:
-    """Per system (in sorted order), how many records fall in each quadrant.
-
-    Only two-subject records have a quadrant; records of more subjects are
-    not counted.
-    """
+    """Per system (in sorted order), how many two-subject records fall in
+    each quadrant."""
     table = ScoreTable.from_records(records)
-    two = table.arity() == 2
     quadrant = _quadrants(table, _taus(table, thresholds))
-    counts = np.bincount(table.frs[two] * 4 + quadrant[two], minlength=4 * len(table.frs_ids))
+    counts = np.bincount(table.frs * 4 + quadrant, minlength=4 * len(table.frs_ids))
     return {frs_id: dict(zip(QUADRANTS, row))
             for frs_id, row in zip(table.frs_ids, counts.reshape(-1, 4).tolist())}
 
 
 def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapReport:
     """Assemble per-system values, the cross-system value, and quadrant
-    counts (for two-subject records) into one report.
+    counts of two-subject records into one report.
 
     Per-system values ignore failure-to-acquire by definition; the
-    cross-system value honours the supplied table. Records of more than two
-    subjects count in both values but in no quadrant. ``n_morphs`` counts
-    the (type, morph) rows of the success table.
+    cross-system value honours the supplied table. ``n_morphs`` counts the
+    (type, morph) rows of the success table.
     """
     table = _table(records)
     attempts, systems, tables = _success_tables(table, thresholds)
@@ -526,21 +494,13 @@ def write_report_csv(report: GmapReport, path) -> None:
 
 def write_scatter_csv(records, thresholds, path) -> None:
     """Write plot-ready `morph_id,frs_id,attempt,score_s1,score_s2,quadrant`
-    rows, one per record, in input order.
+    rows, one per two-subject record, in input order.
 
     Every record is classified before the file is opened, so a record without
-    a threshold or with other than two subject scores raises and leaves no
-    file behind.
+    a threshold raises and leaves no file behind.
     """
     table = ScoreTable.from_records(records)
-    taus = _taus(table, thresholds)
-    arity = table.arity()
-    odd = np.flatnonzero(arity != 2)
-    if odd.size:
-        raise UnsupportedArityError(
-            f"quadrants are defined for 2 subjects, record has {arity[odd[0]]}"
-        )
-    quadrant = _quadrants(table, taus)
+    quadrant = _quadrants(table, _taus(table, thresholds))
 
     def rows():
         for lo in range(0, len(table), SCATTER_CHUNK):

@@ -181,6 +181,24 @@ class TestPipelineCommand:
         assert result.returncode == 1
         assert "same_id" in result.stderr
 
+    @pytest.mark.parametrize("morph_id", ["../escaped", "sub/m", "{tmp}/abs", ".", ".."])
+    def test_morph_id_must_be_a_plain_file_name(self, morph_id, cloud_files, tmp_path, capsys):
+        morph_id = morph_id.format(tmp=tmp_path)
+        rows = [
+            f"{cloud_files['a']},{cloud_files['b']},morph_ab",
+            f"{cloud_files['c']},{cloud_files['d']},{morph_id}",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        out = tmp_path / "out" / "inner"
+        code = cli.main(["pipeline", str(pairs), "--out", str(out), "--downsample", "50"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{pairs}: row 3: morph_id {morph_id!r} is not a plain file name" in err
+        # the check runs before the first pair, so nothing is written anywhere
+        written = sorted(p.name for p in tmp_path.rglob("*.ply"))
+        assert written == ["a.ply", "b.ply", "c.ply", "d.ply"]
+        assert not (out / "manifest.csv").exists()
+
     def test_missing_column_names_it(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("subject_a,subject_b,alpha\na.ply,b.ply,0.5\n")
@@ -490,6 +508,34 @@ class TestConfigKeys:
                             "--sigma-correction"], monkeypatch)
         params = cli._params_from_args(argparse.Namespace(**args))
         assert params == RegistrationParams(lam=9.0, max_iters=4, use_sigma_correction=True)
+
+
+class TestNegativeDownsample:
+    @pytest.mark.parametrize("command", ["register", "morph", "pipeline"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_exits_1_before_any_registration(self, command, from_config, cloud_files,
+                                             tmp_path, monkeypatch, capsys):
+        def no_register(*args, **kwargs):
+            raise AssertionError("register called")
+
+        monkeypatch.setattr(cli, "register", no_register)
+        a, b, c, d = (str(cloud_files[k]) for k in "abcd")
+        if command == "pipeline":
+            pairs = tmp_path / "pairs.csv"
+            pairs.write_text(f"subject_a,subject_b,morph_id\n{a},{b},m0\n{c},{d},m1\n")
+            inputs = [str(pairs)]
+        else:
+            inputs = [a, b]
+        if from_config:
+            config = tmp_path / "run.cfg"
+            config.write_text("downsample=-5\n")
+            flag = ["--config", str(config)]
+        else:
+            flag = ["--downsample", "-5"]
+        out = tmp_path / "out"
+        assert cli.main([command, *inputs, *flag, "--out", str(out)]) == 1
+        assert "--downsample must be >= 0, got -5" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 def csv_bytes(header, rows):

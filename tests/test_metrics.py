@@ -21,18 +21,30 @@ from cloudmorph import (
     write_report_csv,
     write_scatter_csv,
 )
-from cloudmorph.errors import (
-    EmptyScoresError,
-    MissingThresholdError,
-    RaggedDataError,
-    UnsupportedArityError,
-)
+from cloudmorph.errors import EmptyScoresError, MissingThresholdError, RaggedDataError
 from cloudmorph import metrics
 from cloudmorph.metrics import QUADRANTS
 
 
 def record(morph, frs, attempt, s1, s2, morph_type="default"):
     return ScoreRecord(morph, frs, attempt, (s1, s2), morph_type)
+
+
+def table_rows(table):
+    """(morph_id, frs_id, attempt, scores, morph_type) of each row of a
+    ScoreTable, read from its columns."""
+    return list(zip(
+        [table.morph_ids[c] for c in table.morph],
+        [table.frs_ids[c] for c in table.frs],
+        table.attempt.tolist(),
+        map(tuple, table.scores.tolist()),
+        [table.morph_types[c] for c in table.morph_type],
+    ))
+
+
+def record_rows(records):
+    return [(r.morph_id, r.frs_id, r.attempt_index, r.subject_scores, r.morph_type)
+            for r in records]
 
 
 def oracle_gmap(records, taus, ftar_map):
@@ -83,14 +95,13 @@ def oracle_ragged_message(records):
 
 
 def oracle_quadrant_counts(records, taus):
-    """Per system, two-subject records by quadrant, from the definition."""
+    """Per system, records by quadrant, from the definition."""
     counts = {f: dict.fromkeys(QUADRANTS, 0) for f in sorted({r.frs_id for r in records})}
     for r in records:
-        if len(r.subject_scores) == 2:
-            above1, above2 = (s > taus[r.frs_id] for s in r.subject_scores)
-            quadrant = {(True, True): "I", (False, True): "II",
-                        (False, False): "III", (True, False): "IV"}[above1, above2]
-            counts[r.frs_id][quadrant] += 1
+        above1, above2 = (s > taus[r.frs_id] for s in r.subject_scores)
+        quadrant = {(True, True): "I", (False, True): "II",
+                    (False, False): "III", (True, False): "IV"}[above1, above2]
+        counts[r.frs_id][quadrant] += 1
     return counts
 
 
@@ -191,11 +202,6 @@ class TestQuadrantClassify:
 
     def test_only_first_above(self):
         assert quadrant_classify(record("m", "A", 1, 0.9, 0.2), self.threshold) == "IV"
-
-    def test_arity_guard(self):
-        rec = ScoreRecord("m", "A", 1, (0.1, 0.2, 0.3))
-        with pytest.raises(UnsupportedArityError):
-            quadrant_classify(rec, self.threshold)
 
 
 class TestGmapFixtures:
@@ -409,46 +415,6 @@ class TestBuildReport:
         report = build_report(single, thresholds[:1])
         assert report.cross_frs == report.per_frs["frs1"]
 
-
-    def test_three_subject_table_matches_gmap(self):
-        records = [
-            ScoreRecord("A", "frs1", 1, (0.9, 0.8, 0.7)),
-            ScoreRecord("A", "frs1", 2, (0.9, 0.4, 0.7)),
-            ScoreRecord("A", "frs2", 1, (0.9, 0.8, 0.7)),
-            ScoreRecord("A", "frs2", 2, (0.9, 0.8, 0.7)),
-        ]
-        thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
-        report = build_report(records, thresholds)
-        for threshold in thresholds:
-            subset = [r for r in records if r.frs_id == threshold.frs_id]
-            assert report.per_frs[threshold.frs_id] == gmap(subset, [threshold])
-            assert report.quadrant_counts[threshold.frs_id] == dict.fromkeys(QUADRANTS, 0)
-        assert report.cross_frs == gmap(records, thresholds)
-        assert report.per_frs == {"frs1": 50.0, "frs2": 100.0}
-
-    def test_single_three_subject_record(self):
-        records = [ScoreRecord("A", "frs1", 1, (0.9, 0.8, 0.7))]
-        thresholds = [FrsThreshold("frs1", 0.5, 0.001)]
-        report = build_report(records, thresholds)
-        assert report.per_frs["frs1"] == gmap(records, thresholds) == 100.0
-        assert report.cross_frs == 100.0
-
-    def test_mixed_table_counts_two_subject_records_only(self):
-        records, thresholds = self.make_inputs()
-        extra = [
-            ScoreRecord("C", "frs1", 1, (0.9, 0.9, 0.9)),
-            ScoreRecord("C", "frs1", 2, (0.1, 0.9, 0.9)),
-            ScoreRecord("C", "frs2", 1, (0.9, 0.9, 0.9)),
-            ScoreRecord("C", "frs2", 2, (0.9, 0.9, 0.1)),
-        ]
-        report = build_report(records + extra, thresholds)
-        assert report.quadrant_counts == build_report(records, thresholds).quadrant_counts
-        assert report.quadrant_counts["frs1"] == {"I": 3, "II": 0, "III": 0, "IV": 1}
-        # the three-subject morph still counts in the values: C1 hits both
-        # systems, C2 neither
-        assert report.per_frs["frs1"] == pytest.approx(100.0 * 4 / 6, abs=1e-12)
-        assert report.cross_frs == gmap(records + extra, thresholds)
-
     def test_ragged_table_names_the_same_cell_as_gmap(self):
         records = [
             record("A", "frs1", 1, 0.6, 0.7),
@@ -497,34 +463,27 @@ class TestBuildReport:
 class TestScoreTable:
     def test_sequence_of_records(self):
         records = TestBuildReport().make_inputs()[0] + [
-            ScoreRecord("C", "frs1", 3, (0.9, 0.8, 0.7), morph_type="other"),
+            record("C", "frs1", 3, 0.9, 0.8, morph_type="other"),
         ]
         table = ScoreTable.from_records(records)
         assert len(table) == len(records)
-        assert list(table) == records
-        assert table[-1] == records[-1]
+        assert table_rows(table) == record_rows(records)
+        assert table.scores.shape == (len(records), 2)
+        assert table.morph_ids == ("A", "B", "C")
+        assert table.morph_types == ("default", "other")
         assert table.frs_ids == ("frs1", "frs2")
         assert ScoreTable.from_records(table) is table
-        with pytest.raises(IndexError):
-            table[len(records)]
 
     def test_table_path_matches_record_oracle(self):
         rng = np.random.default_rng(41)
-        for trial in range(40):
+        for _ in range(40):
             records, taus, thresholds, ftar_map = random_table(
                 rng, n_types=int(rng.integers(1, 4)), n_morphs=int(rng.integers(2, 9))
             )
-            if trial % 2:  # a third subject on some records
-                records = [
-                    ScoreRecord(r.morph_id, r.frs_id, r.attempt_index,
-                                r.subject_scores + (float(rng.uniform()),), r.morph_type)
-                    if rng.uniform() < 0.5 else r
-                    for r in records
-                ]
             rng.shuffle(records)
             ftar = FtarTable(ftar_map)
             table = ScoreTable.from_records(records)
-            assert list(table) == records
+            assert table_rows(table) == record_rows(records)
             assert gmap(table, thresholds, ftar) == pytest.approx(
                 oracle_gmap(records, taus, ftar_map), abs=1e-12
             )
@@ -593,10 +552,10 @@ class TestCsvInterfaces:
             "A,default,frs1,1,0.6,0.7\n"
             "A,default,frs1,2,0.6,0.4\n"
         )
-        records = read_scores_csv(path)
-        assert len(records) == 2
-        assert records[0].subject_scores == (0.6, 0.7)
-        assert records[1].attempt_index == 2
+        table = read_scores_csv(path)
+        assert len(table) == 2
+        assert table.scores.tolist() == [[0.6, 0.7], [0.6, 0.4]]
+        assert table.attempt.tolist() == [1, 2]
 
     def test_scores_bad_row_names_line(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -695,26 +654,22 @@ class TestCsvInterfaces:
     def test_scatter_csv_rejects_bad_records_before_writing(self, tmp_path):
         records, thresholds = TestBuildReport().make_inputs()
         path = tmp_path / "scatter.csv"
-        three = ScoreRecord("C", "frs1", 1, (0.9, 0.8, 0.7))
-        with pytest.raises(UnsupportedArityError):
-            write_scatter_csv(records + [three], thresholds, path)
-        assert not path.exists()
         with pytest.raises(MissingThresholdError):
             write_scatter_csv(records + [record("C", "frs3", 1, 0.9, 0.8)], thresholds, path)
         assert not path.exists()
 
     def test_quadrant_counts_match_report(self):
         records, thresholds = TestBuildReport().make_inputs()
-        three = ScoreRecord("C", "frs1", 1, (0.9, 0.8, 0.7))
-        counts = quadrant_counts(records + [three], thresholds)
+        counts = quadrant_counts(records, thresholds)
         assert counts == build_report(records, thresholds).quadrant_counts
         assert list(counts) == ["frs1", "frs2"]
         with pytest.raises(MissingThresholdError):
             quadrant_counts(records, thresholds[:1])
 
     def test_score_record_validation(self):
-        with pytest.raises(ValueError):
-            ScoreRecord("m", "A", 1, (0.5,))
+        for scores in ((0.5,), (0.5, 0.6, 0.7)):
+            with pytest.raises(ValueError):
+                ScoreRecord("m", "A", 1, scores)
         with pytest.raises(ValueError):
             ScoreRecord("m", "A", 0, (0.5, 0.6))
         for bad in ("nan", "inf", "-inf"):
