@@ -393,6 +393,11 @@ def update_displacement(
     right-hand-side columns, for the diagonal of Sigma:
 
         displacement_var = (1 - (c/lam) colsum(S G * K^-1 S G)) / lam.
+
+    K is built once, C-ordered, and handed to :func:`solve_spd`, which
+    factors it in place; so next to the Gram the update holds one M x M
+    array, or three with the correction (K, S G beside the residual, and
+    their solution).
     """
     params = problem.params
     y = problem.source.vertices

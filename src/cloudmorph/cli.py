@@ -191,10 +191,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _params_from_args(args: argparse.Namespace) -> RegistrationParams:
-    """Registration parameters of ``args``; a negative ``--downsample`` is
-    rejected here, before any input is read."""
+    """Registration parameters of ``args``; a negative ``--downsample`` or
+    ``--seed``, and for ``morph`` and ``pipeline`` an ``--alpha`` outside
+    [0, 1], are rejected here, before any input is read."""
     if args.downsample < 0:
         raise ValueError(f"--downsample must be >= 0, got {args.downsample}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.command in ("morph", "pipeline") and not 0.0 <= args.alpha <= 1.0:
+        raise ValueError(f"--alpha must lie in [0, 1], got {args.alpha}")
     values = {f.name: getattr(args, f.name) for f in fields(RegistrationParams)}
     return RegistrationParams(**values)
 
@@ -301,6 +306,8 @@ def _pairing_row(row: dict) -> dict:
         alpha = float(alpha_text) if alpha_text else None
     except ValueError as exc:
         raise ValueError(f"bad alpha {alpha_text!r}") from exc
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha {alpha_text!r} is not in [0, 1]")
     if row["morph_id"] in (".", "..") or Path(row["morph_id"]).name != row["morph_id"]:
         raise ValueError(f"morph_id {row['morph_id']!r} is not a plain file name")
     return {"subject_a": row["subject_a"], "subject_b": row["subject_b"],

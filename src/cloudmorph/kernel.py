@@ -5,13 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial.distance import cdist
+from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError
 
 # Elements of the row panel _max_asymmetry compares at a time.
 SYMMETRY_PANEL = 1 << 16
+# Elements of the row panel squared_distances subtracts at a time.
+DISTANCE_PANEL = 1 << 16
 
 
 def gaussian_kernel(a, b, beta: float) -> float:
@@ -22,6 +23,31 @@ def gaussian_kernel(a, b, beta: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     d2 = float(np.sum((a - b) ** 2))
     return float(np.exp(-d2 / (2.0 * beta * beta)))
+
+
+def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(len(x), len(y)) array of squared Euclidean distances between rows.
+
+    Each entry is summed from exact per-coordinate differences, first
+    coordinate first, as ``cdist(x, y, "sqeuclidean")`` sums it, so the two
+    agree bitwise; for ``y is x`` the result is exactly symmetric. The
+    differences are formed in row panels of about DISTANCE_PANEL elements,
+    so nothing larger than the result is held.
+    """
+    m, n = len(x), len(y)
+    out = np.empty((m, n))
+    rows = max(1, DISTANCE_PANEL // n)
+    diff = np.empty((min(rows, m), n))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        panel, d = out[lo:hi], diff[: hi - lo]
+        np.subtract(x[lo:hi, 0, None], y[:, 0], out=panel)
+        np.multiply(panel, panel, out=panel)
+        for axis in range(1, x.shape[1]):
+            np.subtract(x[lo:hi, axis, None], y[:, axis], out=d)
+            np.multiply(d, d, out=d)
+            panel += d
+    return out
 
 
 def _max_asymmetry(a: np.ndarray) -> float:
@@ -78,8 +104,8 @@ def build_gram(points, beta: float) -> GramMatrix:
         raise ValueError(f"points must have shape (M, 3) with M >= 1, got {pts.shape}")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    # cdist's squared distances are exactly symmetric, and so is their exp
-    values = cdist(pts, pts, "sqeuclidean")
+    # the squared distances are exactly symmetric, and so is their exp
+    values = squared_distances(pts, pts)
     np.divide(values, -2.0 * beta * beta, out=values)
     np.exp(values, out=values)
     np.fill_diagonal(values, 1.0)
@@ -88,32 +114,46 @@ def build_gram(points, beta: float) -> GramMatrix:
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric positive-definite A via Cholesky.
+    """Solve A X = B for symmetric positive-definite A via Cholesky, in place.
 
-    If the first factorization fails, a diagonal jitter of
-    1e-9 * trace(A) / M is added and the factorization retried once; a
-    second failure raises :class:`NotPositiveDefiniteError`. The returned X
-    satisfies ||A X - B||_F / ||B||_F <= 1e-8 for well-posed systems.
+    A writeable C-ordered float64 A is consumed: LAPACK ``dpotrf`` factors
+    it where it lies, reading its upper triangle with the diagonal and
+    overwriting them with the factor (its transpose is the Fortran-ordered
+    lower factor ``cho_factor`` gives). Its strict lower triangle is left as
+    it was. Any other A is copied first and left intact.
+
+    If the first factorization fails, A is rebuilt from its untouched
+    strict lower triangle and the diagonal saved before the call, a diagonal
+    jitter of 1e-9 * trace(A) / M is added, and the factorization is
+    retried once; a second failure raises
+    :class:`NotPositiveDefiniteError`. The returned X satisfies
+    ||A X - B||_F / ||B||_F <= 1e-8 for well-posed systems.
 
     A is rejected as asymmetric when max|A - A.T| > 1e-10 * max(1, max|A|).
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"B has {b.shape[0]} rows, A is {a.shape[0]}x{a.shape[1]}")
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
+        a = np.array(a, dtype=np.float64, order="C")
     if _max_asymmetry(a) > 1e-10 * max(1.0, float(a.max()), -float(a.min())):
         raise ValueError("A is not symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        jitter = 1e-9 * float(np.trace(a)) / a.shape[0]
-        jittered = a + jitter * np.eye(a.shape[0])
-        try:
-            factor = scipy.linalg.cho_factor(jittered, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
+    m = a.shape[0]
+    diagonal = a.diagonal().copy()
+    # a.T is Fortran-ordered, so dpotrf neither copies it nor touches a's
+    # strict lower triangle
+    factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        for i in range(m - 1):
+            a[i, i + 1:] = a[i + 1:, i]
+        a.flat[:: m + 1] = diagonal + 1e-9 * float(diagonal.sum()) / m
+        factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
             raise NotPositiveDefiniteError(
-                f"matrix of size {a.shape[0]} is not positive definite after jitter"
-            ) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+                f"matrix of size {m} is not positive definite after jitter"
+            )
+    x, _ = lapack.dpotrs(factor, b, lower=1)
+    return x

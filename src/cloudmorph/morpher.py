@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bcpd import MASS_EPS, RegistrationState, apply_transform
 from .cloudio import PointCloud
 from .errors import ShapeMismatchError
+from .kernel import squared_distances
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def correspondence_targets(
     coords = state.matched_targets.copy()
     colors = state.matched_colors.copy()
     if np.any(weak):
-        d2 = cdist(state.moved_source[weak], target.vertices, "sqeuclidean")
+        d2 = squared_distances(state.moved_source[weak], target.vertices)
         nearest = d2.argmin(axis=1)
         coords[weak] = target.vertices[nearest]
         colors[weak] = target.colors[nearest]

@@ -629,6 +629,26 @@ class TestUpdateDisplacement:
         update_displacement(state, problem)
         assert shapes == [((20, 20), (20, 23 if use_sigma_correction else 3))]
 
+    @pytest.mark.parametrize("use_sigma_correction, bound", [(False, 1.25), (True, 3.25)])
+    def test_update_peak_memory(self, use_sigma_correction, bound):
+        # K is factored where it is built: besides the Gram, one update holds
+        # one M x M array, or three with the correction (K, the right-hand
+        # sides, their solution); a copy of K for the factor would add one
+        m = 1000
+        rng = np.random.default_rng(1000)
+        source = cloud_of(make_normalized_points(m, rng))
+        target = cloud_of(make_normalized_points(m, rng))
+        params = RegistrationParams(use_sigma_correction=use_sigma_correction)
+        problem = build_problem(source, target, params)
+        state = e_step(init_state(problem), problem)
+        tracemalloc.start()
+        try:
+            update_displacement(state, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * m * m) <= bound
+
 
 def exact_correspondence_state(source, target_points, params):
     """State with unit masses and expected targets pinned to target_points."""

@@ -214,6 +214,23 @@ class TestPipelineCommand:
         assert cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "x")]) == 1
         assert "row 3: bad alpha 'half'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_names_row(self, alpha, cloud_files, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_register(*args, **kwargs):
+            raise AssertionError("register called")
+
+        monkeypatch.setattr(cli, "register", no_register)
+        rows = [
+            f"{cloud_files['a']},{cloud_files['b']},morph_ab",
+            f"{cloud_files['c']},{cloud_files['d']},morph_cd,{alpha}",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        out = tmp_path / "x"
+        assert cli.main(["pipeline", str(pairs), "--out", str(out)]) == 1
+        assert f"{pairs}: row 3: alpha '{alpha}' is not in [0, 1]" in capsys.readouterr().err
+        assert not (out / "manifest.csv").exists()
+
     def test_row_with_extra_field_names_row(self, cloud_files, tmp_path, capsys):
         rows = [
             f"{cloud_files['a']},{cloud_files['b']},morph_ab",
@@ -536,6 +553,57 @@ class TestNegativeDownsample:
         assert cli.main([command, *inputs, *flag, "--out", str(out)]) == 1
         assert "--downsample must be >= 0, got -5" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestBadAlphaAndSeed:
+    # both are checked with the other flags, before any input is read; exit 1
+    # is an input error, as 2 would mean a registration that did not converge
+    def run_main(self, command, key, value, from_config, cloud_files, tmp_path, monkeypatch):
+        def no_register(*args, **kwargs):
+            raise AssertionError("register called")
+
+        monkeypatch.setattr(cli, "register", no_register)
+        a, b, c, d = (str(cloud_files[k]) for k in "abcd")
+        if command == "pipeline":
+            pairs = tmp_path / "pairs.csv"
+            pairs.write_text(f"subject_a,subject_b,morph_id\n{a},{b},m0\n{c},{d},m1\n")
+            inputs = [str(pairs)]
+        else:
+            inputs = [a, b]
+        if from_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key}={value}\n")
+            flag = ["--config", str(config)]
+        else:
+            flag = [f"--{key}", value]
+        out = tmp_path / "out"
+        code = cli.main([command, *inputs, *flag, "--downsample", "50", "--out", str(out)])
+        assert list(out.iterdir()) == []
+        return code
+
+    @pytest.mark.parametrize("command", ["morph", "pipeline"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("value, shown", [("2", "2.0"), ("-0.5", "-0.5"), ("nan", "nan")])
+    def test_alpha_outside_unit_interval(self, command, from_config, value, shown,
+                                         cloud_files, tmp_path, monkeypatch, capsys):
+        code = self.run_main(command, "alpha", value, from_config, cloud_files, tmp_path,
+                        monkeypatch)
+        assert code == 1
+        assert f"--alpha must lie in [0, 1], got {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["register", "morph", "pipeline"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed(self, command, from_config, cloud_files, tmp_path, monkeypatch,
+                           capsys):
+        code = self.run_main(command, "seed", "-3", from_config, cloud_files, tmp_path, monkeypatch)
+        assert code == 1
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_register_ignores_alpha_in_config(self, cloud_files, tmp_path, monkeypatch):
+        # register has no --alpha; a shared config file may still set it
+        monkeypatch.setitem(cli._COMMANDS, "register", lambda args: 0)
+        code = self.run_main("register", "alpha", "2", True, cloud_files, tmp_path, monkeypatch)
+        assert code == 0
 
 
 def csv_bytes(header, rows):

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.spatial.distance import cdist
 
 from cloudmorph import GramMatrix, build_gram, gaussian_kernel, kernel, solve_spd
 from cloudmorph.errors import NotPositiveDefiniteError
@@ -34,7 +36,30 @@ class TestGaussianKernel:
             gaussian_kernel([0, 0, 0], [1, 1, 1], beta=0.0)
 
 
+class TestSquaredDistances:
+    # cdist is the oracle: the panel-wise sums must match it bit for bit
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("m, n", [(300, 300), (400, 400), (1000, 1000),
+                                      (2000, 2000), (7, 6000)])
+    def test_equals_cdist(self, m, n, offset):
+        rng = np.random.default_rng(m + n)
+        x = rng.normal(size=(m, 3)) + offset
+        y = x if m == n else rng.normal(size=(n, 3)) + offset
+        d2 = kernel.squared_distances(x, y)
+        npt.assert_array_equal(d2, cdist(x, y, "sqeuclidean"))
+        if y is x:
+            assert np.array_equal(d2, d2.T)
+
+
 class TestBuildGram:
+    @pytest.mark.parametrize("m", [1, 300, 1000])
+    def test_equals_cdist_gram(self, m):
+        # the Gram is exp(-d2 / (2 beta^2)) of cdist's squared distances, unit diagonal
+        pts = np.random.default_rng(m).normal(size=(m, 3))
+        expected = np.exp(cdist(pts, pts, "sqeuclidean") / (-2.0 * 0.3 * 0.3))
+        np.fill_diagonal(expected, 1.0)
+        npt.assert_array_equal(build_gram(pts, beta=0.3).values, expected)
+
     def test_identical_points(self):
         gram = build_gram([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], beta=0.5)
         npt.assert_array_equal(gram.values, np.ones((2, 2)))
@@ -135,14 +160,14 @@ class TestSolveSpd:
             a = (q * diag) @ q.T
             a = 0.5 * (a + a.T)
             b = rng.normal(size=(m, 3))
-            x = solve_spd(a, b)
+            x = solve_spd(a.copy(), b)
             residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
             assert residual <= 1e-8
 
     def test_jitter_rescues_singular_psd(self):
         a = np.ones((3, 3))  # PSD, rank 1
         b = np.ones(3)
-        x = solve_spd(a, b)
+        x = solve_spd(a.copy(), b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-6
 
     def test_indefinite_raises(self):
@@ -171,3 +196,51 @@ class TestSolveSpd:
         a[m - 1, m - 2] += 2e-10 * scale
         with pytest.raises(ValueError):
             solve_spd(a, np.ones(m))
+
+    def test_consumes_c_ordered_writeable(self):
+        # the factor is cho_factor's, written over the upper triangle; the
+        # strict lower triangle is left as it was
+        rng = np.random.default_rng(41)
+        m = 40
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        a = (q * rng.uniform(0.5, 2.0, size=m)) @ q.T
+        a = np.triu(a) + np.triu(a, 1).T
+        original = a.copy()
+        b = rng.normal(size=(m, 3))
+        factor = cho_factor(original, lower=True)
+        x = solve_spd(a, b)
+        npt.assert_array_equal(x, cho_solve(factor, b))
+        npt.assert_array_equal(np.triu(a), np.tril(factor[0]).T)
+        npt.assert_array_equal(np.tril(a, -1), np.tril(original, -1))
+
+    @pytest.mark.parametrize("kind", ["read_only", "fortran", "integer"])
+    def test_other_inputs_left_intact(self, kind):
+        a = np.array([[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 2, 0], [1, 0, 0, 5]])
+        if kind == "read_only":
+            a = a.astype(np.float64)
+            a.setflags(write=False)
+        elif kind == "fortran":
+            a = np.asfortranarray(a, dtype=np.float64)
+        original = a.copy()
+        b = np.arange(8.0).reshape(4, 2)
+        x = solve_spd(a, b)
+        npt.assert_array_equal(a, original)
+        factor = cho_factor(original.astype(np.float64), lower=True)
+        npt.assert_array_equal(x, cho_solve(factor, b))
+
+    def test_jitter_retry_equals_factor_of_jittered(self):
+        # a rank-20 PSD matrix at M = 50 fails its factorization part-way,
+        # after dpotrf has written some of the factor; the retry must rebuild
+        # A exactly and solve A + jitter I
+        rng = np.random.default_rng(50)
+        m = 50
+        basis = rng.normal(size=(m, 20))
+        a = basis @ basis.T
+        a = np.triu(a) + np.triu(a, 1).T
+        _, info = lapack.dpotrf(a, lower=1)
+        assert 1 < info <= m
+        b = rng.normal(size=(m, 3))
+        jitter = 1e-9 * np.trace(a) / m
+        expected = cho_solve(cho_factor(a + jitter * np.eye(m), lower=True), b)
+        npt.assert_array_equal(solve_spd(a.copy(), b), expected)
+

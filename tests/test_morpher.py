@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -230,3 +234,34 @@ class TestEndToEndMorph:
         expected = 0.5 * aligned.vertices + 0.5 * coords
         npt.assert_array_equal(blended.vertices, expected)
         assert blended.id == "morph_s1_s2_0.5"
+
+
+IMPORT_FOOTPRINT_SCRIPT = """
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+from cloudmorph import PointCloud, RegistrationParams, correspondence_targets, register
+
+rng = np.random.default_rng(5)
+source = PointCloud(rng.normal(size=(30, 3)), rng.uniform(size=(30, 3)), "s")
+target = PointCloud(rng.normal(size=(40, 3)), rng.uniform(size=(40, 3)), "t")
+result = register(source, target, RegistrationParams(max_iters=5))
+mass = result.state.source_mass.copy()
+mass[0] = 0.0
+correspondence_targets(replace(result.state, source_mass=mass), result.target_normalized)
+print(sorted(name for name in sys.modules if name.startswith("scipy.spatial")))
+"""
+
+
+def test_run_imports_no_scipy_spatial():
+    # a registration and a morph with a weak source point need scipy.linalg
+    # only; scipy.spatial alone costs about 9 MB of resident memory
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
