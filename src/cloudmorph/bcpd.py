@@ -118,17 +118,17 @@ class RegistrationParams:
     use_sigma_correction: bool = False
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
         if not 0.0 <= self.omega < 1.0:
             raise ValueError("omega must lie in [0, 1)")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -221,6 +221,8 @@ class RegistrationState:
     sigma2:           residual variance, floored at SIGMA2_FLOOR.
     transform:        current similarity transform.
     moved_source:     (M, 3) source points after displacement + transform.
+
+    Every array is made read-only, not copied, when the state is built.
     """
 
     source_mass: np.ndarray
@@ -233,6 +235,11 @@ class RegistrationState:
     sigma2: float
     transform: SimilarityTransform
     moved_source: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def init_state(problem: RegistrationProblem) -> RegistrationState:

@@ -298,24 +298,23 @@ def cmd_morph(args: argparse.Namespace) -> int:
 _PAIRING_COLUMNS = ("subject_a", "subject_b", "morph_id")
 
 
-def _pairing_row(row: dict) -> dict:
-    if not all(row.get(c) for c in _PAIRING_COLUMNS):
+def _pairing_row(subject_a, subject_b, morph_id, alpha_text) -> dict:
+    if not (subject_a and subject_b and morph_id):
         raise ValueError("incomplete pairing row")
-    alpha_text = (row.get("alpha") or "").strip()
+    alpha_text = (alpha_text or "").strip()
     try:
         alpha = float(alpha_text) if alpha_text else None
     except ValueError as exc:
         raise ValueError(f"bad alpha {alpha_text!r}") from exc
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha_text!r} is not in [0, 1]")
-    if row["morph_id"] in (".", "..") or Path(row["morph_id"]).name != row["morph_id"]:
-        raise ValueError(f"morph_id {row['morph_id']!r} is not a plain file name")
-    return {"subject_a": row["subject_a"], "subject_b": row["subject_b"],
-            "morph_id": row["morph_id"], "alpha": alpha}
+    if morph_id in (".", "..") or Path(morph_id).name != morph_id:
+        raise ValueError(f"morph_id {morph_id!r} is not a plain file name")
+    return {"subject_a": subject_a, "subject_b": subject_b, "morph_id": morph_id, "alpha": alpha}
 
 
 def _read_pairing_csv(path) -> list[dict]:
-    pairs = list(read_csv_rows(path, _PAIRING_COLUMNS, _pairing_row))
+    pairs = list(read_csv_rows(path, _PAIRING_COLUMNS, _pairing_row, optional=("alpha",)))
     counts = Counter(p["morph_id"] for p in pairs)
     duplicates = sorted(m for m, count in counts.items() if count > 1)
     if duplicates:

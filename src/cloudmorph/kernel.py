@@ -17,7 +17,7 @@ DISTANCE_PANEL = 1 << 16
 
 def gaussian_kernel(a, b, beta: float) -> float:
     """exp(-||a - b||^2 / (2 beta^2)), in (0, 1]; equals 1 at zero distance."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -86,7 +86,7 @@ class GramMatrix:
             v = np.array(v, dtype=np.float64, copy=True)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {v.shape}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
         if v.size and _max_asymmetry(v) > 1e-12:
             raise ValueError("Gram matrix must be symmetric within 1e-12")
@@ -102,7 +102,7 @@ def build_gram(points, beta: float) -> GramMatrix:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"points must have shape (M, 3) with M >= 1, got {pts.shape}")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     # the squared distances are exactly symmetric, and so is their exp
     values = squared_distances(pts, pts)

@@ -32,7 +32,6 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -386,28 +385,37 @@ FTAR_COLUMNS = ("frs_id", "attempt", "ftar")
 SCATTER_CHUNK = 4096  # rows formatted at a time by write_scatter_csv
 
 
-def read_csv_rows(path, columns, parse):
-    """Yield ``parse(row)`` for each row (a dict by column) of a CSV file.
-
-    A header lacking any of ``columns`` raises one ValueError naming them all.
-    A row with more fields than the header, or a TypeError or ValueError
-    from ``parse``, is raised as ``"{path}: row {n}: {exc}"``, the header
-    being row 1. A shorter row gives None for the columns it lacks."""
+def read_csv_rows(path, columns, parse, optional=()):
+    """Yield ``parse(*fields)`` for each row of a CSV file: the row's values
+    of ``columns``, then of ``optional``, at the positions its header gives
+    (a repeated name's last), and None for an optional column that the
+    header or the row lacks. A header lacking any of ``columns`` raises one
+    ValueError naming them all. Then, row by row: a blank row is skipped;
+    more fields than the header, too few to reach one of ``columns`` (the
+    first is named), or a TypeError or ValueError from ``parse`` raise
+    ``"{path}: row {n}: {exc}"``, n the line the row ends on (header: 1)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        have = reader.fieldnames or []
-        missing = [c for c in columns if c not in have]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}; found {have}")
-        for row_num, row in enumerate(reader, start=2):
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if missing := [c for c in columns if c not in header]:
+            raise ValueError(f"{path}: missing columns {missing}; found {header}")
+        at = {name: i for i, name in enumerate(header)}
+        positions = [at.get(c, len(header)) for c in (*columns, *optional)]
+        reach, end = 1 + max(positions[: len(columns)]), 1 + max(positions)
+        for row in reader:
+            if not row:
+                continue
             try:
-                if None in row:
-                    raise ValueError(
-                        f"{len(have) + len(row[None])} fields, the header has {len(have)}")
-                item = parse(row)
+                if len(row) > len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                if len(row) < reach:
+                    short = next(c for c in columns if at[c] >= len(row))
+                    raise ValueError(f"no value for column {short!r}")
+                row += [None] * (end - len(row))
+                item = parse(*map(row.__getitem__, positions))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {row_num}: {exc}") from exc
+                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
             yield item
 
 
@@ -419,14 +427,7 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-_score_fields = itemgetter(*SCORES_COLUMNS)
-
-
-def _score_row(row) -> tuple:
-    fields = _score_fields(row)
-    if None in fields:
-        raise ValueError(f"no value for column {SCORES_COLUMNS[fields.index(None)]!r}")
-    morph_id, morph_type, frs_id, attempt, s1, s2 = fields
+def _score_row(morph_id, morph_type, frs_id, attempt, s1, s2) -> tuple:
     attempt = int(attempt)
     if attempt >= 2**63:
         raise ValueError(f"attempt {attempt} does not fit in 64 bits")
@@ -444,11 +445,11 @@ def read_scores_csv(path) -> ScoreTable:
     return table
 
 
-def _nonmated_row(row) -> tuple[str, float]:
-    score = float(row["score"])
+def _nonmated_row(frs_id, text) -> tuple[str, float]:
+    score = float(text)
     if not math.isfinite(score):
-        raise ValueError(f"non-mated score {row['score']!r} must be finite")
-    return row["frs_id"], score
+        raise ValueError(f"non-mated score {text!r} must be finite")
+    return frs_id, score
 
 
 def read_nonmated_csv(path) -> dict:
@@ -466,13 +467,13 @@ def read_ftar_csv(path) -> FtarTable:
     second row for the same system and attempt is an error."""
     rates = {}
 
-    def add(row) -> None:
-        key = (int(row["attempt"]), row["frs_id"])
+    def add(frs_id, attempt, text) -> None:
+        key = (int(attempt), frs_id)
         if key in rates:
-            raise ValueError(f"duplicate row for frs_id {key[1]!r}, attempt {key[0]}")
-        rate = float(row["ftar"])
+            raise ValueError(f"duplicate row for frs_id {frs_id!r}, attempt {key[0]}")
+        rate = float(text)
         if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"FTAR {row['ftar']!r} must lie in [0, 1]")
+            raise ValueError(f"FTAR {text!r} must lie in [0, 1]")
         rates[key] = rate
 
     for _ in read_csv_rows(path, FTAR_COLUMNS, add):

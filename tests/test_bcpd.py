@@ -127,6 +127,13 @@ class TestRegistrationParams:
         RegistrationParams(tol=0.0)  # forced non-convergence is allowed
         RegistrationParams(tol=math.inf)
 
+    @pytest.mark.parametrize("name", ["beta", "lam", "gamma", "kappa", "tol"])
+    def test_nan_rejected(self, name):
+        # NaN fails every comparison; a check written as ``x <= 0`` lets it pass
+        message = "tol must be non-negative" if name == "tol" else f"{name} must be positive"
+        with pytest.raises(ValueError, match=message):
+            RegistrationParams(**{name: math.nan})
+
 
 class TestInitState:
     def test_sigma2_formula(self):
@@ -234,6 +241,26 @@ class TestBuildProblem:
         npt.assert_array_equal(state.transform.rotation, result.transform.rotation)
         npt.assert_array_equal(state.transform.translation, result.transform.translation)
         assert state.transform.scale == result.transform.scale
+
+
+class TestRegistrationState:
+    def test_arrays_are_read_only(self):
+        params = RegistrationParams(max_iters=3, use_sigma_correction=True)
+        result = register(make_cloud(30, seed=36), make_cloud(40, seed=37), params)
+        arrays = {name: value for name, value in vars(result.state).items()
+                  if isinstance(value, np.ndarray)}
+        assert len(arrays) == 8
+        arrays["result.displacement"] = result.displacement
+        for name, value in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+
+    def test_arrays_are_not_copied(self):
+        state = init_state(build_problem(make_cloud(10, seed=38), make_cloud(12, seed=39),
+                                         RegistrationParams()))
+        mass = np.ones(10)
+        assert replace(state, source_mass=mass).source_mass is mass
+        assert not mass.flags.writeable
 
 
 class TestEStep:

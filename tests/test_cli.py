@@ -606,6 +606,32 @@ class TestBadAlphaAndSeed:
         assert code == 0
 
 
+class TestNanHyperparameter:
+    # NaN fails every comparison, so each bound is checked as ``not x > 0``
+    @pytest.mark.parametrize("command", ["register", "morph", "pipeline"])
+    @pytest.mark.parametrize("flag, message", [
+        ("beta", "beta must be positive"),
+        ("lambda", "lam must be positive"),
+        ("gamma", "gamma must be positive"),
+        ("kappa", "kappa must be positive"),
+        ("tol", "tol must be non-negative"),
+    ])
+    def test_exits_before_any_input_is_read(self, command, flag, message, cloud_files,
+                                            tmp_path, monkeypatch, capsys):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_ply", no_input)
+        monkeypatch.setattr(cli, "read_csv_rows", no_input)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"subject_a,subject_b,morph_id\n{cloud_files['a']},{cloud_files['b']},m\n")
+        inputs = [str(pairs)] if command == "pipeline" else [str(cloud_files[k]) for k in "ab"]
+        out = tmp_path / "out"
+        assert cli.main([command, *inputs, f"--{flag}", "nan", "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 def csv_bytes(header, rows):
     lines = [header, *rows]
     return "".join(",".join(line) + "\r\n" for line in lines).encode("utf-8")

@@ -35,6 +35,16 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel([0, 0, 0], [1, 1, 1], beta=0.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_non_positive_beta_rejected_everywhere(self, beta):
+        points = np.eye(3)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            gaussian_kernel(points[0], points[1], beta=beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            build_gram(points, beta=beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            GramMatrix(np.eye(3), beta=beta)
+
 
 class TestSquaredDistances:
     # cdist is the oracle: the panel-wise sums must match it bit for bit

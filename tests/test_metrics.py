@@ -23,6 +23,7 @@ from cloudmorph import (
 )
 from cloudmorph.errors import EmptyScoresError, MissingThresholdError, RaggedDataError
 from cloudmorph import metrics
+from cloudmorph.cli import _read_pairing_csv
 from cloudmorph.metrics import QUADRANTS
 
 
@@ -675,3 +676,69 @@ class TestCsvInterfaces:
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(ValueError, match="finite"):
                 ScoreRecord("m", "A", 1, (float(bad), 0.6))
+
+
+# Every CSV input is read by one row rule. Per reader: its function, its
+# header, two good rows, the column a short row lacks, and what it read.
+ROW_RULE_READERS = {
+    "scores": (
+        read_scores_csv, "morph_id,morph_type,frs_id,attempt,score_s1,score_s2",
+        ["A,default,frs1,1,0.6,0.7", "A,default,frs1,2,0.6,0.4"], "score_s2",
+        lambda table: (table.morph_ids, table.attempt.tolist(), table.scores.tolist()),
+    ),
+    "nonmated": (read_nonmated_csv, "frs_id,score", ["frs1,0.5", "frs2,0.25"], "score",
+                 lambda scores: scores),
+    "ftar": (read_ftar_csv, "frs_id,attempt,ftar", ["frs1,1,0.25", "frs1,2,0"], "ftar",
+             lambda table: table.rates),
+    "pairing": (_read_pairing_csv, "subject_a,subject_b,morph_id,alpha",
+                ["a.ply,b.ply,m1,0.5", "c.ply,d.ply,m2,"], "morph_id", lambda pairs: pairs),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_RULE_READERS))
+class TestRowRule:
+    def read(self, name, tmp_path, lines):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path, ROW_RULE_READERS[name][0]
+
+    def short_row(self, name):
+        _, header, good, column, _ = ROW_RULE_READERS[name]
+        return ",".join(good[0].split(",")[: header.split(",").index(column)])
+
+    def test_short_row_names_its_column(self, name, tmp_path):
+        _, header, good, column, _ = ROW_RULE_READERS[name]
+        path, reader = self.read(name, tmp_path, [header, good[0], self.short_row(name)])
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: row 3: no value for column {column!r}"
+
+    def test_blank_line_is_counted(self, name, tmp_path):
+        _, header, good, _, _ = ROW_RULE_READERS[name]
+        width = len(header.split(","))
+        path, reader = self.read(name, tmp_path, [header, good[0], "", good[1] + ",extra"])
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: row 4: {width + 1} fields, the header has {width}"
+
+    def test_extra_field_is_rejected(self, name, tmp_path):
+        _, header, good, _, _ = ROW_RULE_READERS[name]
+        width = len(header.split(","))
+        path, reader = self.read(name, tmp_path, [header, good[0] + ",extra"])
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: row 2: {width + 1} fields, the header has {width}"
+
+    def test_repeated_column_reads_its_last_occurrence(self, name, tmp_path):
+        _, header, good, column, summary = ROW_RULE_READERS[name]
+        plain, reader = self.read(name, tmp_path, [header, *good])
+        expected = summary(reader(plain))
+        # the first occurrence holds "junk", which would be read otherwise or fail
+        lines = [f"{column},{header}", *(f"junk,{row}" for row in good)]
+        path, _ = self.read(name, tmp_path, lines)
+        assert summary(reader(path)) == expected
+        # a row that holds only the first occurrence lacks the column
+        path, _ = self.read(name, tmp_path, [*lines, f"junk,{self.short_row(name)}"])
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: row 4: no value for column {column!r}"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from cloudmorph import (
     register,
 )
 from cloudmorph.errors import ShapeMismatchError
+from cloudmorph.kernel import squared_distances
 from conftest import make_cloud
 
 
@@ -122,6 +124,24 @@ class TestCorrespondenceTargets:
         coords, colors = correspondence_targets(state, target)
         npt.assert_array_equal(coords, [[1.0, 0.0, 0.0]])
         npt.assert_array_equal(colors, [[0.2, 0.2, 0.2]])
+
+    def test_weak_points_searched_in_panels(self):
+        # every one of 2000 source points is weak against 5000 targets; the
+        # (2000, 5000) distance array alone would take 80 MB, and the panel
+        # search peaked at 1.2 MB
+        source, target = make_cloud(2000, seed=40), make_cloud(5000, seed=41)
+        state = init_state(build_problem(source, target, RegistrationParams(omega=0.0)))
+        assert not state.source_mass.any()
+        tracemalloc.start()
+        try:
+            coords, colors = correspondence_targets(state, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        nearest = squared_distances(state.moved_source, target.vertices).argmin(axis=1)
+        npt.assert_array_equal(coords, target.vertices[nearest])
+        npt.assert_array_equal(colors, target.colors[nearest])
 
     def test_shape_mismatch(self):
         source = PointCloud([[0.0, 0.0, 0.0]], [[0.5, 0.5, 0.5]], "s")
