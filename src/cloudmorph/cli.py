@@ -120,20 +120,14 @@ def _add_registration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
-def _add_out_and_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=str, default="out", help="output directory")
-    parser.add_argument("--config", type=str, default=None,
-                        help="key=value config file; explicit flags override it")
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and argparse's own map of command names to subparsers."""
     parser = argparse.ArgumentParser(
         prog="cloudmorph",
         description="Colored point-cloud registration, morphing, and attack metrics.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     formatter = argparse.ArgumentDefaultsHelpFormatter
-    by_name = {}
 
     p_register = subparsers.add_parser(
         "register", formatter_class=formatter,
@@ -141,8 +135,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_register.add_argument("source", help="source PLY file")
     p_register.add_argument("target", help="target PLY file")
     _add_registration_flags(p_register)
-    _add_out_and_config(p_register)
-    by_name["register"] = p_register
 
     p_morph = subparsers.add_parser(
         "morph", formatter_class=formatter,
@@ -152,8 +144,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_morph.add_argument("--alpha", type=float, default=0.5,
                          help="source blend weight in [0, 1]")
     _add_registration_flags(p_morph)
-    _add_out_and_config(p_morph)
-    by_name["morph"] = p_morph
 
     p_pipeline = subparsers.add_parser(
         "pipeline", formatter_class=formatter,
@@ -162,8 +152,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_pipeline.add_argument("--alpha", type=float, default=0.5,
                             help="source blend weight, unless a pair overrides it")
     _add_registration_flags(p_pipeline)
-    _add_out_and_config(p_pipeline)
-    by_name["pipeline"] = p_pipeline
 
     p_eval = subparsers.add_parser(
         "eval", formatter_class=formatter,
@@ -174,8 +162,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         help="failure-to-acquire CSV: frs_id,attempt,ftar (default: all zero)")
     p_eval.add_argument("--fmr", type=float, default=0.001,
                         help="false-match-rate target for thresholds")
-    _add_out_and_config(p_eval)
-    by_name["eval"] = p_eval
 
     p_quadrants = subparsers.add_parser(
         "quadrants", formatter_class=formatter,
@@ -184,16 +170,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_quadrants.add_argument("nonmated", help="non-mated score CSV")
     p_quadrants.add_argument("--fmr", type=float, default=0.001,
                              help="false-match-rate target for thresholds")
-    _add_out_and_config(p_quadrants)
-    by_name["quadrants"] = p_quadrants
 
-    return parser, by_name
+    # added last, so they close every subcommand's --help
+    for subparser in subparsers.choices.values():
+        subparser.add_argument("--out", type=str, default="out", help="output directory")
+        subparser.add_argument("--config", type=str, default=None,
+                               help="key=value config file; explicit flags override it")
+    return parser, subparsers.choices
 
 
 def _params_from_args(args: argparse.Namespace) -> RegistrationParams:
     """Registration parameters of ``args``; a negative ``--downsample`` or
     ``--seed``, and for ``morph`` and ``pipeline`` an ``--alpha`` outside
-    [0, 1], are rejected here, before any input is read."""
+    [0, 1], are rejected here, before any input is read. An error of
+    :class:`RegistrationParams`, which starts with the field's name, gets
+    the flag that sets that field appended."""
     if args.downsample < 0:
         raise ValueError(f"--downsample must be >= 0, got {args.downsample}")
     if args.seed < 0:
@@ -201,7 +192,13 @@ def _params_from_args(args: argparse.Namespace) -> RegistrationParams:
     if args.command in ("morph", "pipeline") and not 0.0 <= args.alpha <= 1.0:
         raise ValueError(f"--alpha must lie in [0, 1], got {args.alpha}")
     values = {f.name: getattr(args, f.name) for f in fields(RegistrationParams)}
-    return RegistrationParams(**values)
+    try:
+        return RegistrationParams(**values)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        actions = _config_keys(build_parser()[1]).values()
+        flag = next(action.option_strings[0] for action in actions if action.dest == field)
+        raise ValueError(f"{exc} ({flag})") from None
 
 
 def _outcome(result: RegistrationResult) -> tuple[str, str, int]:
@@ -233,10 +230,6 @@ def _load_input_cloud(
     return cloud
 
 
-def _reprs(values) -> list[str]:
-    return [repr(float(v)) for v in values]
-
-
 def cmd_register(args: argparse.Namespace) -> int:
     out = Path(args.out)
     params = _params_from_args(args)
@@ -247,14 +240,13 @@ def cmd_register(args: argparse.Namespace) -> int:
     write_csv_rows(
         out / "transform.csv",
         ["s", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33", "t1", "t2", "t3"],
-        [_reprs([transform.scale, *transform.rotation.reshape(-1), *transform.translation])],
+        [[transform.scale, *transform.rotation.reshape(-1).tolist(), *transform.translation.tolist()]],
     )
-    write_csv_rows(out / "displacements.csv", ["vx", "vy", "vz"],
-                   [_reprs(row) for row in result.displacement.tolist()])
+    write_csv_rows(out / "displacements.csv", ["vx", "vy", "vz"], result.displacement.tolist())
     write_csv_rows(
         out / "normalization.csv",
         ["cloud", "cx", "cy", "cz", "scale"],
-        [[name, *_reprs([*record.centroid, record.scale])]
+        [[name, *record.centroid.tolist(), record.scale]
          for name, record in (("source", result.source_record), ("target", result.target_record))],
     )
     save_ply(result.aligned_source(), out / "aligned_source.ply")
@@ -343,7 +335,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     for index, pair in enumerate(pairs):
         alpha = pair["alpha"] if pair["alpha"] is not None else args.alpha
         row = dict.fromkeys(_MANIFEST_COLUMNS, "")
-        row.update(pair, alpha=repr(float(alpha)))
+        row.update(pair, alpha=alpha)
         manifest_rows.append(row)
         if pair["subject_a"] == pair["subject_b"]:
             row["status"] = "invalid"
@@ -356,7 +348,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             )
             save_ply(blended, out / f"{pair['morph_id']}.ply")
             row["status"] = _outcome(result)[0]
-            row["iterations"] = str(result.iterations)
+            row["iterations"] = result.iterations
             done += 1
         except (CloudMorphError, OSError, ValueError) as exc:
             row["status"] = "error"
@@ -371,7 +363,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _scores_and_thresholds(args: argparse.Namespace) -> tuple[ScoreTable, list]:
     """Score table, and one threshold per system at ``--fmr`` from its
-    non-mated scores."""
+    non-mated scores; an ``--fmr`` outside (0, 1) is rejected before either
+    file is read."""
+    if not 0.0 < args.fmr < 1.0:
+        raise ValueError(f"--fmr must lie in (0, 1), got {args.fmr}")
     records = read_scores_csv(args.scores)
     nonmated = read_nonmated_csv(args.nonmated)
     thresholds = []

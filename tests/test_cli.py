@@ -666,3 +666,55 @@ class TestRegisterCsvFiles:
              ["target", *reprs([*result.target_record.centroid, result.target_record.scale])]],
         )
         assert len(result.displacement) == 60
+
+
+class TestFmrOutsideUnitInterval:
+    # checked before either score file is read, however large they are
+    @pytest.mark.parametrize("command", ["eval", "quadrants"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("value, shown", [
+        ("2", "2.0"), ("0", "0.0"), ("1", "1.0"), ("-0.5", "-0.5"), ("nan", "nan"),
+    ])
+    def test_exits_1_before_any_file_is_read(self, command, from_config, value, shown,
+                                             tmp_path, monkeypatch, capsys):
+        def no_read(*args, **kwargs):
+            raise AssertionError("score file read")
+
+        monkeypatch.setattr(cli, "read_scores_csv", no_read)
+        monkeypatch.setattr(cli, "read_nonmated_csv", no_read)
+        scores, nonmated = write_eval_fixture(tmp_path)
+        if from_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"fmr={value}\n")
+            flag = ["--config", str(config)]
+        else:
+            flag = ["--fmr", value]
+        out = tmp_path / "out"
+        assert cli.main([command, str(scores), str(nonmated), *flag, "--out", str(out)]) == 1
+        assert f"error: --fmr must lie in (0, 1), got {shown}\n" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestRegistrationErrorNamesFlag:
+    # every flag whose value RegistrationParams checks, with a value it rejects
+    @pytest.mark.parametrize("command", ["register", "morph", "pipeline"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "0"), ("--lambda", "nan"), ("--omega", "1"), ("--gamma", "-1"),
+        ("--kappa", "0"), ("--tol", "-1"), ("--max-iters", "0"),
+    ])
+    def test_error_ends_with_the_flag_as_typed(self, command, flag, value, cloud_files,
+                                               tmp_path, monkeypatch, capsys):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_ply", no_input)
+        monkeypatch.setattr(cli, "read_csv_rows", no_input)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"subject_a,subject_b,morph_id\n{cloud_files['a']},{cloud_files['b']},m\n")
+        inputs = [str(pairs)] if command == "pipeline" else [str(cloud_files[k]) for k in "ab"]
+        out = tmp_path / "out"
+        assert cli.main([command, *inputs, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith(f" ({flag})\n")
+        assert list(out.iterdir()) == []
