@@ -9,6 +9,7 @@ read: the whole pipeline operates on point sets only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .errors import (
     MissingPropertyError,
     NonFiniteCoordinateError,
 )
+
+_END_HEADER = re.compile(rb"^end_header\r*$", re.MULTILINE)
 
 _PLY_DTYPES = {
     "char": "i1",
@@ -151,14 +154,15 @@ def _parse_header(raw: bytes, path: Path):
     """
     if not raw.startswith(b"ply"):
         raise MalformedHeaderError(f"{path}: not a PLY file (missing 'ply' magic)")
-    end = raw.find(b"end_header")
-    if end < 0:
+    # the header ends at the first line that is exactly end_header, so a
+    # comment that mentions it does not end it
+    end = _END_HEADER.search(raw)
+    if end is None:
         raise MalformedHeaderError(f"{path}: missing end_header")
-    nl = raw.find(b"\n", end)
-    if nl < 0:
+    if end.end() == len(raw):
         raise MalformedHeaderError(f"{path}: truncated after end_header")
-    header_text = raw[:end].decode("ascii", errors="replace")
-    body = raw[nl + 1 :]
+    header_text = raw[: end.start()].decode("ascii", errors="replace")
+    body = raw[end.end() + 1 :]
 
     fmt = None
     elements: list[tuple[str, int, list]] = []

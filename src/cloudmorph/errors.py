@@ -26,7 +26,7 @@ class DegenerateCloudError(CloudMorphError):
 
 
 class NotPositiveDefiniteError(CloudMorphError):
-    """Matrix is not positive definite, even after diagonal jitter."""
+    """Matrix is not positive definite."""
 
 
 class ShapeMismatchError(CloudMorphError):

@@ -1,4 +1,4 @@
-"""Gaussian kernel evaluation, Gram matrices, and regularized SPD solves."""
+"""Gaussian Gram matrices, pairwise distances, and SPD solves."""
 
 from __future__ import annotations
 
@@ -13,16 +13,6 @@ from .errors import NotPositiveDefiniteError
 SYMMETRY_PANEL = 1 << 16
 # Elements of the row panel squared_distances subtracts at a time.
 DISTANCE_PANEL = 1 << 16
-
-
-def gaussian_kernel(a, b, beta: float) -> float:
-    """exp(-||a - b||^2 / (2 beta^2)), in (0, 1]; equals 1 at zero distance."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d2 = float(np.sum((a - b) ** 2))
-    return float(np.exp(-d2 / (2.0 * beta * beta)))
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -122,12 +112,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lower factor ``cho_factor`` gives). Its strict lower triangle is left as
     it was. Any other A is copied first and left intact.
 
-    If the first factorization fails, A is rebuilt from its untouched
-    strict lower triangle and the diagonal saved before the call, a diagonal
-    jitter of 1e-9 * trace(A) / M is added, and the factorization is
-    retried once; a second failure raises
-    :class:`NotPositiveDefiniteError`. The returned X satisfies
-    ||A X - B||_F / ||B||_F <= 1e-8 for well-posed systems.
+    A is factored once and never regularized: if ``dpotrf`` finds it not
+    positive definite, :class:`NotPositiveDefiniteError` is raised. The
+    returned X satisfies ||A X - B||_F / ||B||_F <= 1e-8 for well-posed
+    systems.
 
     A is rejected as asymmetric when max|A - A.T| > 1e-10 * max(1, max|A|).
     """
@@ -141,19 +129,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.array(a, dtype=np.float64, order="C")
     if _max_asymmetry(a) > 1e-10 * max(1.0, float(a.max()), -float(a.min())):
         raise ValueError("A is not symmetric")
-    m = a.shape[0]
-    diagonal = a.diagonal().copy()
     # a.T is Fortran-ordered, so dpotrf neither copies it nor touches a's
     # strict lower triangle
     factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1, clean=0)
     if info > 0:
-        for i in range(m - 1):
-            a[i, i + 1:] = a[i + 1:, i]
-        a.flat[:: m + 1] = diagonal + 1e-9 * float(diagonal.sum()) / m
-        factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1, clean=0)
-        if info > 0:
-            raise NotPositiveDefiniteError(
-                f"matrix of size {m} is not positive definite after jitter"
-            )
+        raise NotPositiveDefiniteError(f"matrix of size {len(a)} is not positive definite")
     x, _ = lapack.dpotrs(factor, b, lower=1)
     return x

@@ -636,6 +636,33 @@ class TestUpdateDisplacement:
         lhs = params.lam * v + c * (g @ (nu[:, None] * v))
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [0.3, 2.0, 5.0])
+    @pytest.mark.parametrize("m", [50, 300])
+    def test_system_factors_without_jitter(self, m, beta):
+        # K = I + ratio S G S is the identity plus a PSD matrix, so solve_spd
+        # needs no regularization: even at the variance floor, with one
+        # source holding mass M, rounding in G cannot pull K's spectrum
+        # near 0
+        rng = np.random.default_rng(m)
+        source = cloud_of(make_normalized_points(m, rng))
+        target = cloud_of(make_normalized_points(m, rng))
+        params = RegistrationParams(beta=beta)
+        problem = build_problem(source, target, params)
+        mass = np.full(m, 1e-3)
+        mass[0] = m
+        state = replace(
+            e_step(init_state(problem), problem), sigma2=SIGMA2_FLOOR, source_mass=mass
+        )
+        out = update_displacement(state, problem)
+        assert np.all(np.isfinite(out.displacement))
+        assert np.all(np.isfinite(out.moved_source))
+
+        tr = state.transform
+        ratio = tr.scale**2 / SIGMA2_FLOOR / params.lam
+        root = np.sqrt(mass)
+        k = np.eye(m) + ratio * (np.outer(root, root) * problem.gram.values)
+        assert np.linalg.eigvalsh(k).min() >= 0.5
+
     @pytest.mark.parametrize("use_sigma_correction", [False, True])
     def test_single_solve_per_update(self, use_sigma_correction, monkeypatch):
         # the covariance is never formed: one solve with a 3-column

@@ -210,6 +210,70 @@ class TestPly:
         with pytest.raises(MalformedHeaderError, match="no vertex element"):
             load_ply(path)
 
+    def test_ascii_comment_mentioning_end_header(self, tmp_path):
+        # only a whole line reading end_header ends the header
+        path = tmp_path / "comment.ply"
+        content = "\n".join(
+            [
+                "ply",
+                "format ascii 1.0",
+                "comment exported before end_header fixups",
+                "element vertex 2",
+                "property float x",
+                "property float y",
+                "property float z",
+                "property uchar red",
+                "property uchar green",
+                "property uchar blue",
+                "end_header",
+                "1 2 3 10 20 30",
+                "4 5 6 40 50 60",
+            ]
+        )
+        path.write_text(content + "\n")
+        cloud = load_ply(path)
+        npt.assert_array_equal(cloud.vertices, [[1, 2, 3], [4, 5, 6]])
+        npt.assert_allclose(cloud.colors, np.array([[10, 20, 30], [40, 50, 60]]) / 255.0)
+
+    def test_binary_comment_mentioning_end_header(self, tmp_path):
+        verts = [(0.5, -1.25, 2.0), (3.0, 4.5, -6.0)]
+        colors = [(255, 0, 64), (1, 2, 3)]
+        header = (
+            "ply\r\nformat binary_little_endian 1.0\r\n"
+            "comment exported before end_header fixups\r\nelement vertex 2\r\n"
+            "property float x\r\nproperty float y\r\nproperty float z\r\n"
+            "property uchar red\r\nproperty uchar green\r\nproperty uchar blue\r\n"
+            "end_header\r\n"
+        ).encode("ascii")
+        body = b"".join(
+            struct.pack("<3f3B", *v, *c) for v, c in zip(verts, colors)
+        )
+        path = tmp_path / "comment.ply"
+        path.write_bytes(header + body)
+        cloud = load_ply(path)
+        npt.assert_allclose(cloud.vertices, verts, rtol=0, atol=1e-6)
+        npt.assert_allclose(cloud.colors, np.array(colors) / 255.0)
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ("end_header_x\n0 0 0 1 2 3\n", "missing end_header"),
+            ("comment end_header\n", "missing end_header"),
+            ("end_header", "truncated after end_header"),
+            ("end_header\r", "truncated after end_header"),
+        ],
+        ids=["suffixed", "in-comment", "no-newline", "carriage-return"],
+    )
+    def test_end_header_line_required(self, tmp_path, tail, message):
+        path = tmp_path / "noend.ply"
+        header = (
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+        )
+        path.write_bytes((header + tail).encode("ascii"))
+        with pytest.raises(MalformedHeaderError, match=message):
+            load_ply(path)
+
     def test_binary_truncated_body(self, tmp_path):
         header = (
             "ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
