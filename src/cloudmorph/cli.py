@@ -92,7 +92,10 @@ def load_config(path, subparsers: dict) -> dict:
             raise ValueError(f"{path}: line {line_num}: unknown config key {key!r}")
         action = keys[key]
         parse = _parse_bool if action.nargs == 0 else (action.type or str)
-        defaults[action.dest] = parse(value.strip())
+        try:
+            defaults[action.dest] = parse(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_num}: {key}: {exc}") from None
     return defaults
 
 

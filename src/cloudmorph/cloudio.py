@@ -181,7 +181,9 @@ def _parse_header(raw: bytes, path: Path):
             try:
                 count = int(parts[2])
             except ValueError:
-                raise MalformedHeaderError(f"{path}: bad element count in {ln!r}") from None
+                count = -1
+            if count < 0:
+                raise MalformedHeaderError(f"{path}: bad element count in {ln!r}")
             elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:

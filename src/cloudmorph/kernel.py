@@ -5,12 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import issymmetric, lapack
 
 from .errors import NotPositiveDefiniteError
 
-# Elements of the row panel _max_asymmetry compares at a time.
-SYMMETRY_PANEL = 1 << 16
 # Elements of the row panel squared_distances subtracts at a time.
 DISTANCE_PANEL = 1 << 16
 
@@ -40,28 +38,13 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_asymmetry(a: np.ndarray) -> float:
-    """max|A - A.T| of a square matrix, without an M x M temporary.
-
-    The upper triangle is compared with the lower one in row panels of about
-    SYMMETRY_PANEL elements.
-    """
-    m = a.shape[0]
-    rows = max(1, SYMMETRY_PANEL // m)
-    worst = 0.0
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        gap = a[lo:hi, lo:] - a[lo:, lo:hi].T
-        worst = max(worst, float(gap.max()), -float(gap.min()))
-    return worst
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Pairwise Gaussian kernel evaluations over a single point set.
 
-    Symmetric with unit diagonal by construction; positive semi-definite up
-    to floating-point noise.
+    Exactly symmetric with a diagonal of exactly 1.0, as :func:`build_gram`
+    builds it; a matrix with a NaN anywhere fails this. Positive
+    semi-definite up to floating-point noise.
     """
 
     values: np.ndarray
@@ -78,9 +61,9 @@ class GramMatrix:
             raise ValueError(f"Gram matrix must be square, got shape {v.shape}")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if v.size and _max_asymmetry(v) > 1e-12:
-            raise ValueError("Gram matrix must be symmetric within 1e-12")
-        if v.size and np.max(np.abs(np.diagonal(v) - 1.0)) > 1e-12:
+        if not issymmetric(v):
+            raise ValueError("Gram matrix must be exactly symmetric")
+        if not np.all(np.diagonal(v) == 1.0):
             raise ValueError("Gram matrix must have a unit diagonal")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -92,6 +75,8 @@ def build_gram(points, beta: float) -> GramMatrix:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"points must have shape (M, 3) with M >= 1, got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     if not beta > 0:
         raise ValueError("beta must be positive")
     # the squared distances are exactly symmetric, and so is their exp
@@ -117,7 +102,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     returned X satisfies ||A X - B||_F / ||B||_F <= 1e-8 for well-posed
     systems.
 
-    A is rejected as asymmetric when max|A - A.T| > 1e-10 * max(1, max|A|).
+    A must be exactly symmetric, A[i, j] == A[j, i] for every i != j, as
+    the displacement system is by construction; so a NaN off the diagonal
+    is rejected too.
     """
     a = np.asarray(a)
     b = np.asarray(b, dtype=np.float64)
@@ -127,7 +114,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"B has {b.shape[0]} rows, A is {a.shape[0]}x{a.shape[1]}")
     if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
         a = np.array(a, dtype=np.float64, order="C")
-    if _max_asymmetry(a) > 1e-10 * max(1.0, float(a.max()), -float(a.min())):
+    if not issymmetric(a):
         raise ValueError("A is not symmetric")
     # a.T is Fortran-ordered, so dpotrf neither copies it nor touches a's
     # strict lower triangle

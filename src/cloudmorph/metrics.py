@@ -149,8 +149,8 @@ class FrsThreshold:
 class FtarTable:
     """Failure-to-acquire rates keyed by (attempt_index, frs_id).
 
-    Missing entries count as zero, so an empty table means perfect
-    acquisition.
+    Attempts count from 1, as in score rows. Missing entries count as zero,
+    so an empty table means perfect acquisition.
     """
 
     rates: dict = field(default_factory=dict)
@@ -158,12 +158,14 @@ class FtarTable:
     def __post_init__(self) -> None:
         clean = {}
         for (attempt, frs_id), value in dict(self.rates).items():
-            value = float(value)
+            attempt, value = int(attempt), float(value)
+            if attempt < 1:
+                raise ValueError(f"FTAR attempt {attempt}, frs {frs_id!r} must be >= 1")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"FTAR for attempt {attempt}, frs {frs_id!r} must lie in [0, 1]"
                 )
-            clean[(int(attempt), str(frs_id))] = value
+            clean[(attempt, str(frs_id))] = value
         object.__setattr__(self, "rates", clean)
 
     def get(self, attempt_index: int, frs_id: str) -> float:
@@ -469,6 +471,8 @@ def read_ftar_csv(path) -> FtarTable:
 
     def add(frs_id, attempt, text) -> None:
         key = (int(attempt), frs_id)
+        if key[0] < 1:
+            raise ValueError(f"attempt {key[0]} must be >= 1")
         if key in rates:
             raise ValueError(f"duplicate row for frs_id {frs_id!r}, attempt {key[0]}")
         rate = float(text)

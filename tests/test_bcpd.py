@@ -664,6 +664,33 @@ class TestUpdateDisplacement:
         assert np.linalg.eigvalsh(k).min() >= 0.5
 
     @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    @pytest.mark.parametrize("m", [50, 300])
+    def test_system_exactly_symmetric(self, m, use_sigma_correction, monkeypatch):
+        # solve_spd accepts only an exactly symmetric A; K = I + ratio S G S
+        # is one, since G is and each factor multiplies elementwise. K is
+        # consumed by the solve, so it is checked on the way in.
+        rng = np.random.default_rng(m + 7)
+        source = cloud_of(make_normalized_points(m, rng))
+        target = cloud_of(make_normalized_points(m, rng))
+        params = RegistrationParams(use_sigma_correction=use_sigma_correction)
+        problem = build_problem(source, target, params)
+        mass = rng.uniform(0.0, 2.0, size=m)
+        mass[rng.choice(m, size=m // 5, replace=False)] = 0.0
+        state = replace(
+            e_step(init_state(problem), problem), sigma2=SIGMA2_FLOOR, source_mass=mass
+        )
+        symmetric = []
+
+        def checking_solve(a, b):
+            symmetric.append(np.array_equal(a, a.T))
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(bcpd, "solve_spd", checking_solve)
+        out = update_displacement(state, problem)
+        assert symmetric == [True]
+        assert np.all(np.isfinite(out.displacement))
+
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
     def test_single_solve_per_update(self, use_sigma_correction, monkeypatch):
         # the covariance is never formed: one solve with a 3-column
         # right-hand side, plus M columns for the variances when requested

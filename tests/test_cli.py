@@ -519,6 +519,16 @@ class TestConfigKeys:
         assert code == 1
         assert named in capsys.readouterr().err
 
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("# run settings\nbeta=0.5\nseed=1.5\n")
+        code = cli.main(["register", "s.ply", "t.ply", "--config", str(config),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: line 3: seed: ")
+        assert "'1.5'" in err
+
     def test_params_follow_registration_params(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         args = parsed_args(["register", "s.ply", "t.ply", "--lambda", "9", "--max-iters", "4",

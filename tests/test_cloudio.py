@@ -293,6 +293,25 @@ class TestPly:
         with pytest.raises(MalformedHeaderError):
             load_ply(path)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_negative_element_count(self, fmt, tmp_path):
+        # a negative count is a header error, whatever element carries it
+        header = (
+            f"ply\nformat {fmt} 1.0\nelement face -1\nproperty list uchar int vertex_indices\n"
+            "element vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n"
+        ).encode("ascii")
+        if fmt == "ascii":
+            body = b"0 0 0 1 2 3\n1 0 0 4 5 6\n0 1 0 7 8 9\n"
+        else:
+            body = struct.pack("<3f3B", 0.0, 0.0, 0.0, 1, 2, 3) * 3
+        path = tmp_path / "negative.ply"
+        path.write_bytes(header + body)
+        with pytest.raises(MalformedHeaderError, match="bad element count in 'element face -1'"):
+            load_ply(path)
+
     def test_extra_properties_and_faces_ignored(self, tmp_path):
         path = tmp_path / "extra.ply"
         content = "\n".join(

@@ -85,18 +85,38 @@ class TestBuildGram:
         assert np.array_equal(gram.values, gram.values.T)
 
     def test_asymmetry_in_last_panel_rejected(self):
-        # the Gram check shares solve_spd's panel-wise comparison; one entry in
-        # the last of several panels, off by twice the tolerance, must be caught
+        # symmetry is exact: an entry in the last row off by 2e-12, or by a
+        # single ulp, is caught
         m = 600
-        assert m > 2 * (kernel.SYMMETRY_PANEL // m)
         values = build_gram(np.random.default_rng(601).normal(size=(m, 3)), beta=0.3).values
-        within = values.copy()
-        within[m - 1, m - 2] += 0.5e-12
-        GramMatrix(within, beta=0.3)
+        GramMatrix(values, beta=0.3)
         beyond = values.copy()
         beyond[m - 1, m - 2] += 2e-12
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly symmetric"):
             GramMatrix(beyond, beta=0.3)
+        ulp = values.copy()
+        ulp[m - 1, m - 2] = np.nextafter(ulp[m - 1, m - 2], np.inf)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            GramMatrix(ulp, beta=0.3)
+
+    def test_nan_pair_off_diagonal_rejected(self):
+        values = np.eye(3)
+        values[0, 2] = values[2, 0] = np.nan
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            GramMatrix(values, beta=0.3)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.nextafter(1.0, 2.0)])
+    def test_diagonal_not_exactly_one_rejected(self, entry):
+        values = build_gram(np.random.default_rng(5).normal(size=(4, 3)), beta=0.3).values.copy()
+        values[2, 2] = entry
+        with pytest.raises(ValueError, match="unit diagonal"):
+            GramMatrix(values, beta=0.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = [[bad, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        with pytest.raises(ValueError, match="points must be finite"):
+            build_gram(points, beta=0.3)
 
     def test_peak_memory_one_matrix(self):
         # the M x M result is built once and handed over without a copy
@@ -165,21 +185,26 @@ class TestSolveSpd:
             solve_spd(a, np.ones(2))
 
     def test_asymmetry_in_last_panel_rejected(self):
-        # the check runs over row panels; one entry in the last of several
-        # panels, off by twice the tolerance, must still be caught
+        # symmetry is exact: an entry in the last row off by 2e-10 relative
+        # to max|A|, or by a single ulp, is caught
         rng = np.random.default_rng(600)
         m = 600
-        assert m > 2 * (kernel.SYMMETRY_PANEL // m)
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         a = (q * rng.uniform(1.0, 5.0, size=m)) @ q.T
         a = 0.5 * (a + a.T)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        within = a.copy()
-        within[m - 1, m - 2] += 0.5e-10 * scale
-        solve_spd(within, np.ones(m))
-        a[m - 1, m - 2] += 2e-10 * scale
-        with pytest.raises(ValueError):
+        solve_spd(a.copy(), np.ones(m))
+        ulp = a.copy()
+        ulp[m - 1, m - 2] = np.nextafter(ulp[m - 1, m - 2], np.inf)
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_spd(ulp, np.ones(m))
+        a[m - 1, m - 2] += 2e-10 * max(1.0, float(np.max(np.abs(a))))
+        with pytest.raises(ValueError, match="not symmetric"):
             solve_spd(a, np.ones(m))
+
+    def test_nan_pair_off_diagonal_rejected(self):
+        a = np.array([[2.0, np.nan], [np.nan, 2.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_spd(a, np.ones(2))
 
     def test_consumes_c_ordered_writeable(self):
         # the factor is cho_factor's, written over the upper triangle; the

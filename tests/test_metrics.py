@@ -632,6 +632,21 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError):
             FtarTable({(1, "frs1"): 1.5})
 
+    @pytest.mark.parametrize("attempt", ["0", "-3"])
+    def test_ftar_attempt_below_1_names_row(self, attempt, tmp_path):
+        # score attempts count from 1, so such a row would never be used
+        path = tmp_path / "ftar.csv"
+        path.write_text(f"frs_id,attempt,ftar\nfrs1,1,0.25\nfrs1,{attempt},0.5\n")
+        with pytest.raises(ValueError) as err:
+            read_ftar_csv(path)
+        assert str(err.value).startswith(f"{path}: row 3: ")
+        assert f"attempt {attempt} must be >= 1" in str(err.value)
+
+    @pytest.mark.parametrize("attempt", [0, -3])
+    def test_ftar_table_attempt_below_1(self, attempt):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FtarTable({(attempt, "frs1"): 0.2})
+
     def test_report_csv_format(self, tmp_path):
         records, thresholds = TestBuildReport().make_inputs()
         report = build_report(records, thresholds)
