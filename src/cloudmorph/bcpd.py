@@ -104,8 +104,9 @@ class RegistrationParams:
     tol: stop once the relative change of the residual variance drops below
         this (0 disables convergence, inf stops after one iteration).
     max_iters: iteration cap.
-    use_sigma_correction: include the posterior-covariance term in the
-        mixture densities and the variance update.
+    use_sigma_correction: carry the field's posterior variance through the
+        mixture densities and the variance update, as BCPD does; off, that
+        variance is held at exactly 0, which is the uncorrected model.
     """
 
     beta: float = 0.3
@@ -214,10 +215,10 @@ class RegistrationState:
     mixing_weights:   (M,) mixture weights, non-negative, summing to 1.
     displacement:     (M, 3) current non-rigid offsets.
     displacement_var: (M,) posterior variance of each point's displacement
-                      (the diagonal of the field's posterior covariance),
-                      kept only when params.use_sigma_correction is on,
-                      otherwise None. The full M x M covariance is never
-                      stored.
+                      (the diagonal of the field's posterior covariance)
+                      when params.use_sigma_correction is on; exactly 0
+                      when it is off, so the updates that read it need no
+                      branch. The full M x M covariance is never stored.
     sigma2:           residual variance, floored at SIGMA2_FLOOR.
     transform:        current similarity transform.
     moved_source:     (M, 3) source points after displacement + transform.
@@ -249,11 +250,15 @@ def init_state(problem: RegistrationProblem) -> RegistrationState:
     source/target distance per coordinate, floored at SIGMA2_FLOOR so
     coincident clouds do not divide by zero. The mean over all M x N pairs
     equals ||mean(y) - mean(x)||^2 + mean ||y - mean(y)||^2
-    + mean ||x - mean(x)||^2, which takes O(M + N). With the correction on,
-    the displacement variance starts at the prior's diagonal, 1 / lam (the
-    Gram has a unit diagonal), not at BCPD's Sigma = I: a variance of 1
-    lowers every first log-density by 3 / (2 sigma2), which can send all
-    mass to the outlier term when sigma2 starts small.
+    + mean ||x - mean(x)||^2, which takes O(M + N). The moved source and
+    the matched targets and colors are the source's own read-only arrays,
+    shared, not copied.
+
+    With the correction on, the displacement variance starts at the
+    prior's diagonal, 1 / lam (the Gram has a unit diagonal), not at BCPD's
+    Sigma = I: a variance of 1 lowers every first log-density by
+    3 / (2 sigma2), which can send all mass to the outlier term when sigma2
+    starts small. With it off, the variance is 0 and stays 0.
     """
     source, params = problem.source, problem.params
     y = source.vertices
@@ -268,14 +273,14 @@ def init_state(problem: RegistrationProblem) -> RegistrationState:
     return RegistrationState(
         source_mass=np.zeros(m),
         target_mass=np.zeros(n),
-        matched_targets=y.copy(),
-        matched_colors=source.colors.copy(),
+        matched_targets=y,
+        matched_colors=source.colors,
         mixing_weights=np.full(m, 1.0 / m),
         displacement=np.zeros((m, 3)),
-        displacement_var=np.full(m, 1.0 / params.lam) if params.use_sigma_correction else None,
+        displacement_var=np.full(m, 1.0 / params.lam if params.use_sigma_correction else 0.0),
         sigma2=sigma2,
         transform=SimilarityTransform.identity(),
-        moved_source=y.copy(),
+        moved_source=y,
     )
 
 
@@ -289,7 +294,7 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     + exp(b)), with log-densities
 
         a[m, n] = log w_m - 1.5 log(2 pi sigma2) - |x_n - y'_m|^2 / (2 sigma2)
-                  [- 3 s^2 var_m / (2 sigma2) with the sigma correction],
+                  - 3 s^2 var_m / (2 sigma2),
         b = log(omega / ((1 - omega) volume)), or -inf when omega is 0.
 
     With both clouds centered on the target centroid and u2 = 1 / (2 sigma2),
@@ -320,10 +325,8 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     source, params = problem.source, problem.params
     y = state.moved_source
     m, n = len(source), len(problem.target)
-    log_weight = np.log(state.mixing_weights) - 1.5 * math.log(2.0 * math.pi * state.sigma2)
-    if params.use_sigma_correction:
-        s = state.transform.scale
-        log_weight -= s * s * 3.0 * state.displacement_var / (2.0 * state.sigma2)
+    log_weight = (np.log(state.mixing_weights) - 1.5 * math.log(2.0 * math.pi * state.sigma2)
+                  - state.transform.scale**2 * 3.0 * state.displacement_var / (2.0 * state.sigma2))
 
     # columns: P @ (x - center), P @ 1, P @ colors
     moments = np.zeros((m, 7))
@@ -399,7 +402,9 @@ def update_displacement(
     With the sigma correction on, the same solve also takes S G as M more
     right-hand-side columns, for the diagonal of Sigma:
 
-        displacement_var = (1 - (c/lam) colsum(S G * K^-1 S G)) / lam.
+        displacement_var = (1 - (c/lam) colsum(S G * K^-1 S G)) / lam;
+
+    with it off, displacement_var keeps its value of 0.
 
     K is built once, C-ordered, and handed to :func:`solve_spd`, which
     factors it in place; so next to the Gram the update holds one M x M
@@ -418,12 +423,10 @@ def update_displacement(
     k *= ratio
     k.flat[:: m + 1] += 1.0
     residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
-    rhs = root[:, None] * residual
-    if params.use_sigma_correction:
-        rhs = np.hstack([rhs, root[:, None] * g])
+    rhs = root[:, None] * (np.hstack([residual, g]) if params.use_sigma_correction else residual)
     solved = solve_spd(k, rhs)
     disp = ratio * (g @ (root[:, None] * solved[:, :3]))
-    var = None
+    var = state.displacement_var
     if params.use_sigma_correction:
         var = (1.0 - ratio * np.einsum("ij,ij->j", rhs[:, 3:], solved[:, 3:])) / params.lam
     moved = tr.apply(y + disp)
@@ -459,9 +462,21 @@ def update_similarity(
 ) -> RegistrationState:
     """Weighted-Procrustes refit of scale/rotation/translation.
 
-    The deformed source (source + displacement) is matched against the
-    expected targets with the per-point masses as weights; the moved source
-    and the residual variance are then refreshed under the new transform.
+    The displacement field is re-gauged first: any similarity component
+    left inside it is pulled out, by an unweighted similarity fit of the
+    source to the deformed source (source + displacement) and the inverse
+    of that fit applied to the deformed source. Without this, the scale and
+    a radial displacement field can trade off freely once the residual
+    variance bottoms out, and the returned split becomes arbitrary; with
+    it, the displacement holds only genuinely non-rigid deformation.
+
+    The re-gauged deformed source is then matched against the expected
+    targets with the per-point masses as weights. A similarity fit commutes
+    with a similarity map of its input, so this one fit equals the fit of
+    the deformed source composed with the gauge, in exact arithmetic. The
+    moved source and the residual variance are refreshed under the new
+    transform.
+
     The variance needs sum_mn P[m, n] |x_n - y'_m|^2 over the moved source
     y'. With both clouds centered on the target centroid c, as in the
     E-step, it expands into the E-step's sufficient statistics, so no
@@ -470,38 +485,27 @@ def update_similarity(
         sum_n target_mass_n |x_n - c|^2 + sum_m source_mass_m |y'_m - c|^2
         - 2 sum_m source_mass_m (y'_m - c) . (matched_targets_m - c).
 
-    With the sigma correction on, the variance also takes the field's own
-    uncertainty, s^2 sum_m source_mass_m displacement_var_m / sum_m
-    source_mass_m (BCPD's s^2 (nu . var) / N-hat).
-
-    The decomposition of the total map into displacement and transform is
-    then re-gauged: any similarity component left inside the displacement
-    field is pulled into the transform (an exact reparametrization that
-    leaves the moved cloud unchanged). Without this, the scale and a radial
-    displacement field can trade off freely once the residual variance
-    bottoms out, and the returned split becomes arbitrary; with it, the
-    displacement holds only genuinely non-rigid deformation.
+    The variance also takes the field's own uncertainty, s^2 sum_m
+    source_mass_m displacement_var_m / sum_m source_mass_m (BCPD's
+    s^2 (nu . var) / N-hat), which is 0 with the sigma correction off.
     """
     y = problem.source.vertices
     mass = state.source_mass
     total = float(mass.sum())
     if total < 1e-9:
         raise DegenerateGeometryError("no matched mass; cannot update the transform")
-    deformed = y + state.displacement
+    disp = state.displacement
+    deformed = y + disp
+    gauge_scale, gauge_rot, gauge_shift = _procrustes_similarity(y, deformed, None)
+    if gauge_scale > 0.0:
+        disp = ((deformed - gauge_shift) @ gauge_rot) / gauge_scale - y
+        deformed = y + disp
     scale, rot, trans = _procrustes_similarity(deformed, state.matched_targets, mass)
     if scale <= 0.0:
         raise DegenerateGeometryError("estimated scale is not positive")
 
-    disp = state.displacement
-    gauge_scale, gauge_rot, gauge_shift = _procrustes_similarity(y, deformed, None)
-    if gauge_scale > 0.0:
-        disp = ((deformed - gauge_shift) @ gauge_rot) / gauge_scale - y
-        trans = scale * (rot @ gauge_shift) + trans
-        rot = rot @ gauge_rot
-        scale = scale * gauge_scale
-
     new_tr = SimilarityTransform(scale, rot, trans)
-    moved = new_tr.apply(y + disp)
+    moved = new_tr.apply(deformed)
     moved_c = moved - problem.center
     matched_c = state.matched_targets - problem.center
     residual = (
@@ -509,9 +513,7 @@ def update_similarity(
         - 2.0 * float(np.einsum("ij,ij->", moved_c, mass[:, None] * matched_c))
         + float(mass @ np.einsum("ij,ij->i", moved_c, moved_c))
     )
-    sigma2 = residual / (3.0 * total)
-    if problem.params.use_sigma_correction:
-        sigma2 += scale * scale * float(mass @ state.displacement_var) / total
+    sigma2 = residual / (3.0 * total) + scale * scale * float(mass @ state.displacement_var) / total
     sigma2 = max(sigma2, SIGMA2_FLOOR)
     return replace(state, transform=new_tr, moved_source=moved, sigma2=sigma2, displacement=disp)
 

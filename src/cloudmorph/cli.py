@@ -44,6 +44,9 @@ from .metrics import (
 from .morpher import MorphConfig, correspondence_targets, morph
 
 _DEFAULTS = RegistrationParams()
+# What bad input raises: each is reported as "error: ..." with exit code 1,
+# or, inside a pipeline, as that pair's error row.
+_INPUT_ERRORS = (CloudMorphError, OSError, ValueError)
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -80,7 +83,11 @@ def load_config(path, subparsers: dict) -> dict:
     """
     keys = _config_keys(subparsers)
     defaults = {}
-    for line_num, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for line_num, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -353,7 +360,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             row["status"] = _outcome(result)[0]
             row["iterations"] = result.iterations
             done += 1
-        except (CloudMorphError, OSError, ValueError) as exc:
+        except _INPUT_ERRORS as exc:
             row["status"] = "error"
             row["detail"] = str(exc)
         for path in (pair["subject_a"], pair["subject_b"]):
@@ -424,7 +431,7 @@ def main(argv=None) -> int:
     if known.config:
         try:
             defaults = load_config(known.config, subparsers)
-        except (OSError, ValueError) as exc:
+        except _INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         for subparser in subparsers.values():
@@ -434,7 +441,7 @@ def main(argv=None) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (CloudMorphError, OSError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -188,7 +188,7 @@ def _parse_header(raw: bytes, path: Path):
         elif parts[0] == "property":
             if not elements:
                 raise MalformedHeaderError(f"{path}: property before any element")
-            if parts[1] == "list":
+            if parts[1:2] == ["list"]:
                 elements[-1][2].append(("list", tuple(parts[2:])))
             elif len(parts) == 3 and parts[1] in _PLY_DTYPES:
                 elements[-1][2].append((parts[2], parts[1]))

@@ -91,13 +91,17 @@ def build_gram(points, beta: float) -> GramMatrix:
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive-definite A via Cholesky, in place.
 
-    A writeable C-ordered float64 A is consumed: LAPACK ``dpotrf`` factors
-    it where it lies, reading its upper triangle with the diagonal and
-    overwriting them with the factor (its transpose is the Fortran-ordered
-    lower factor ``cho_factor`` gives). Its strict lower triangle is left as
-    it was. Any other A is copied first and left intact.
+    One LAPACK ``dposv`` call factors A and solves with the factor; its
+    solution is bitwise the one ``dpotrf`` then ``dpotrs`` give. A writeable
+    C-ordered float64 A is consumed: ``dposv`` factors it where it lies,
+    reading its upper triangle with the diagonal and overwriting them with
+    the factor (its transpose is the Fortran-ordered lower factor
+    ``cho_factor`` gives). Its strict lower triangle is left as it was. Any
+    other A is copied first and left intact; the copy of a read-only A must
+    stay, because with ``overwrite_a=1`` SciPy's LAPACK wrapper writes
+    straight through an array marked read-only.
 
-    A is factored once and never regularized: if ``dpotrf`` finds it not
+    A is factored once and never regularized: if ``dposv`` finds it not
     positive definite, :class:`NotPositiveDefiniteError` is raised. The
     returned X satisfies ||A X - B||_F / ||B||_F <= 1e-8 for well-posed
     systems.
@@ -116,10 +120,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.array(a, dtype=np.float64, order="C")
     if not issymmetric(a):
         raise ValueError("A is not symmetric")
-    # a.T is Fortran-ordered, so dpotrf neither copies it nor touches a's
+    # a.T is Fortran-ordered, so dposv neither copies it nor touches a's
     # strict lower triangle
-    factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1, clean=0)
+    _, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"matrix of size {len(a)} is not positive definite")
-    x, _ = lapack.dpotrs(factor, b, lower=1)
     return x

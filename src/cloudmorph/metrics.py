@@ -395,30 +395,35 @@ def read_csv_rows(path, columns, parse, optional=()):
     ValueError naming them all. Then, row by row: a blank row is skipped;
     more fields than the header, too few to reach one of ``columns`` (the
     first is named), or a TypeError or ValueError from ``parse`` raise
-    ``"{path}: row {n}: {exc}"``, n the line the row ends on (header: 1)."""
+    ``"{path}: row {n}: {exc}"``, n the line the row ends on (header: 1).
+    The file is read as UTF-8, after a byte-order mark if it starts with
+    one; bytes that are not UTF-8 raise ``"{path}: {exc}"``."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        if missing := [c for c in columns if c not in header]:
-            raise ValueError(f"{path}: missing columns {missing}; found {header}")
-        at = {name: i for i, name in enumerate(header)}
-        positions = [at.get(c, len(header)) for c in (*columns, *optional)]
-        reach, end = 1 + max(positions[: len(columns)]), 1 + max(positions)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) > len(header):
-                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                if len(row) < reach:
-                    short = next(c for c in columns if at[c] >= len(row))
-                    raise ValueError(f"no value for column {short!r}")
-                row += [None] * (end - len(row))
-                item = parse(*map(row.__getitem__, positions))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
-            yield item
+        try:
+            header = next(reader, [])
+            if missing := [c for c in columns if c not in header]:
+                raise ValueError(f"{path}: missing columns {missing}; found {header}")
+            at = {name: i for i, name in enumerate(header)}
+            positions = [at.get(c, len(header)) for c in (*columns, *optional)]
+            reach, end = 1 + max(positions[: len(columns)]), 1 + max(positions)
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) > len(header):
+                        raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                    if len(row) < reach:
+                        short = next(c for c in columns if at[c] >= len(row))
+                        raise ValueError(f"no value for column {short!r}")
+                    row += [None] * (end - len(row))
+                    item = parse(*map(row.__getitem__, positions))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+                yield item
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv_rows(path, header, rows) -> None:

@@ -166,13 +166,21 @@ class TestInitState:
         npt.assert_array_equal(state.transform.rotation, np.eye(3))
         npt.assert_array_equal(state.transform.translation, np.zeros(3))
         npt.assert_array_equal(state.displacement, np.zeros((10, 3)))
-        assert state.displacement_var is None
+        npt.assert_array_equal(state.displacement_var, np.zeros(10))
         npt.assert_array_equal(state.moved_source, source.vertices)
         npt.assert_allclose(state.mixing_weights, 0.1)
         # the correction starts at the prior's diagonal 1 / lam, not BCPD's ones
         params = RegistrationParams(lam=8.0, use_sigma_correction=True)
         corrected = init_state(build_problem(source, target, params))
         npt.assert_array_equal(corrected.displacement_var, np.full(10, 0.125))
+
+    def test_start_shares_the_problem_arrays(self):
+        problem = build_problem(make_cloud(10, seed=0), make_cloud(12, seed=1),
+                                RegistrationParams())
+        state = init_state(problem)
+        assert np.shares_memory(state.moved_source, problem.source.vertices)
+        assert np.shares_memory(state.matched_targets, problem.source.vertices)
+        assert np.shares_memory(state.matched_colors, problem.source.colors)
 
     def test_gamma_scales(self):
         source = cloud_of([[1.0, 0.0, 0.0]])
@@ -607,7 +615,7 @@ class TestUpdateDisplacement:
         if use_sigma_correction:
             npt.assert_allclose(out.displacement_var, np.diag(cov), rtol=0, atol=1e-10)
         else:
-            assert out.displacement_var is None
+            npt.assert_array_equal(out.displacement_var, np.zeros(60))
 
     @pytest.mark.parametrize("use_sigma_correction", [False, True])
     @pytest.mark.parametrize("sigma2", [1e-3, 1e-6, SIGMA2_FLOOR])
@@ -793,6 +801,47 @@ class TestUpdateSimilarity:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    def test_gauge_first_equals_composed_fit(self, use_sigma_correction):
+        # The fit on the re-gauged source equals the fit on source +
+        # displacement composed with the gauge; here that composition is
+        # computed the long way, from a state a few iterations in whose
+        # field is given a similarity component for the gauge to remove.
+        src, _ = normalize(make_cloud(80, seed=26, cloud_id="s"))
+        tgt, _ = normalize(make_cloud(90, seed=27, cloud_id="t"))
+        params = RegistrationParams(kappa=4.0, use_sigma_correction=use_sigma_correction)
+        problem = build_problem(src, tgt, params)
+        state = init_state(problem)
+        for _ in range(3):
+            state = update_similarity(update_displacement(e_step(state, problem), problem), problem)
+        state = update_displacement(e_step(state, problem), problem)
+        y = src.vertices
+        rigid = Rotation.from_euler("xyz", [8, -5, 12], degrees=True).as_matrix()
+        warp = SimilarityTransform(1.2, rigid, [0.05, -0.1, 0.02])
+        state = replace(state, displacement=warp.apply(y + state.displacement) - y)
+        out = update_similarity(state, problem)
+
+        mass = state.source_mass
+        deformed = y + state.displacement
+        scale, rot, trans = bcpd._procrustes_similarity(deformed, state.matched_targets, mass)
+        g_scale, g_rot, g_shift = bcpd._procrustes_similarity(y, deformed, None)
+        assert g_scale == pytest.approx(1.2, rel=0.05)
+        disp = ((deformed - g_shift) @ g_rot) / g_scale - y
+        tr = SimilarityTransform(scale * g_scale, rot @ g_rot, scale * (rot @ g_shift) + trans)
+        moved = tr.apply(y + disp)
+        moved_c, matched_c = moved - problem.center, state.matched_targets - problem.center
+        residual = (state.target_mass @ problem.target_centered_sq
+                    - 2.0 * np.sum(mass[:, None] * moved_c * matched_c)
+                    + mass @ np.sum(moved_c * moved_c, axis=1))
+        sigma2 = (residual / 3.0 + tr.scale**2 * (mass @ state.displacement_var)) / mass.sum()
+
+        assert out.transform.scale == pytest.approx(tr.scale, rel=1e-12)
+        npt.assert_allclose(out.transform.rotation, tr.rotation, rtol=0, atol=1e-12)
+        npt.assert_allclose(out.transform.translation, tr.translation, rtol=0, atol=1e-12)
+        npt.assert_allclose(out.displacement, disp, rtol=0, atol=1e-12)
+        npt.assert_allclose(out.moved_source, moved, rtol=0, atol=1e-12)
+        assert out.sigma2 == pytest.approx(sigma2, rel=1e-12)
+
     def test_no_mass_raises(self):
         source = make_cloud(10, seed=25)
         params = RegistrationParams()
@@ -861,7 +910,7 @@ class TestIterationInvariants:
                 assert np.all(var > 0.0)
                 assert np.all(var <= (1.0 + 1e-12) / params.lam)
             else:
-                assert var is None
+                npt.assert_array_equal(var, np.zeros(60))
 
             state = update_similarity(state, problem)
             rot = state.transform.rotation
@@ -883,6 +932,19 @@ class TestRegister:
             tail = history[3:]
             good += all(b <= a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
         assert good >= 48  # 95% of 50
+
+    def test_variance_is_zero_in_every_state_without_correction(self, monkeypatch):
+        states = []
+        for name in ("init_state", "e_step", "update_displacement", "update_similarity"):
+            def recorded(*args, _step=getattr(bcpd, name)):
+                states.append(_step(*args))
+                return states[-1]
+            monkeypatch.setattr(bcpd, name, recorded)
+        result = register(make_cloud(60, seed=78), make_cloud(70, seed=79),
+                          RegistrationParams(max_iters=20))
+        assert len(states) == 1 + 3 * result.iterations
+        for state in states:
+            npt.assert_array_equal(state.displacement_var, np.zeros(60))
 
     def test_sigma_correction_toggle_runs(self):
         cloud = make_cloud(60, seed=77)

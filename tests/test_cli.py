@@ -171,6 +171,23 @@ class TestPipelineCommand:
         assert "ghost.ply" in manifest["morph_bad"]["detail"]
         assert manifest["morph_cd"]["status"] == "converged"
 
+    def test_bare_property_line_recorded_others_proceed(self, cloud_files, tmp_path):
+        bad = tmp_path / "bare.ply"
+        bad.write_bytes(cloud_files["a"].read_bytes().replace(b"property float y", b"property", 1))
+        rows = [
+            f"{bad},{cloud_files['b']},morph_bad",
+            f"{cloud_files['c']},{cloud_files['d']},morph_cd",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        out = tmp_path / "batch"
+        result = run_cli("pipeline", pairs, "--out", out, "--downsample", "50")
+        assert result.returncode == 0, result.stderr
+        with (out / "manifest.csv").open() as handle:
+            manifest = {row["morph_id"]: row for row in csv.DictReader(handle)}
+        assert manifest["morph_bad"]["status"] == "error"
+        assert manifest["morph_bad"]["detail"] == f"{bad}: bad property line 'property'"
+        assert manifest["morph_cd"]["status"] == "converged"
+
     def test_duplicate_morph_id_is_file_level_error(self, cloud_files, tmp_path):
         rows = [
             f"{cloud_files['a']},{cloud_files['b']},same_id",
@@ -528,6 +545,20 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: line 3: seed: ")
         assert "'1.5'" in err
+
+    def test_byte_order_mark_is_skipped_and_other_bytes_name_the_file(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xef\xbb\xbfbeta=0.5\n")
+        argv = ["register", "s.ply", "t.ply", "--config", str(config)]
+        assert parsed_args(argv, monkeypatch)["beta"] == 0.5
+        config.write_bytes(b"# caf\xe9\nbeta=0.5\n")
+        code = cli.main(["register", "s.ply", "t.ply", "--config", str(config),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_params_follow_registration_params(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

@@ -15,6 +15,7 @@ from cloudmorph import (
     save_ply,
 )
 from cloudmorph.errors import (
+    CloudMorphError,
     DegenerateCloudError,
     IoFailureError,
     MalformedHeaderError,
@@ -339,6 +340,30 @@ class TestPly:
         cloud = load_ply(path)
         assert len(cloud) == 2
         npt.assert_array_equal(cloud.vertices, [[0, 0, 0], [1, 1, 1]])
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_header_line_cut_to_its_keyword(self, fmt, tmp_path):
+        header = [
+            f"format {fmt} 1.0",
+            "element face 1",
+            "property list uchar int vertex_indices",
+            "element vertex 2",
+            "property float x", "property float y", "property float z",
+            "property uchar red", "property uchar green", "property uchar blue",
+        ]
+        if fmt == "ascii":
+            body = b"3 0 1 0\n0 0 0 1 2 3\n1 1 1 4 5 6\n"
+        else:
+            body = struct.pack("<B3i", 3, 0, 1, 0) + struct.pack("<3f3B", 0, 0, 0, 1, 2, 3) * 2
+        path = tmp_path / "cut.ply"
+        for i, line in enumerate(header):
+            keyword = line.split()[0]
+            lines = ["ply", *header[:i], keyword, *header[i + 1 :], "end_header"]
+            path.write_bytes("\n".join(lines).encode("ascii") + b"\n" + body)
+            with pytest.raises(CloudMorphError) as err:
+                load_ply(path)
+            if keyword == "property":
+                assert str(err.value) == f"{path}: bad property line 'property'"
 
     def test_missing_colors(self, tmp_path):
         path = tmp_path / "nocolor.ply"

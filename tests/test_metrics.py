@@ -757,3 +757,22 @@ class TestRowRule:
         with pytest.raises(ValueError) as err:
             reader(path)
         assert str(err.value) == f"{path}: row 4: no value for column {column!r}"
+
+    def test_byte_order_mark_is_skipped_and_other_bytes_name_the_file(self, name, tmp_path):
+        _, header, good, _, summary = ROW_RULE_READERS[name]
+        plain, reader = self.read(name, tmp_path, [header, *good])
+        expected = summary(reader(plain))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert summary(reader(marked)) == expected
+        # a Latin-1 byte in the last row, so the header decodes first
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(plain.read_bytes() + good[0].encode() + b"\xff\n")
+        with pytest.raises(ValueError) as err:
+            reader(latin)
+        assert str(err.value).startswith(f"{latin}: 'utf-8' codec can't decode byte 0xff")
+        # and in the header
+        latin.write_bytes(b"\xff" + plain.read_bytes())
+        with pytest.raises(ValueError) as err:
+            reader(latin)
+        assert str(err.value).startswith(f"{latin}: 'utf-8' codec can't decode byte 0xff")
