@@ -38,10 +38,11 @@ so the loop of :func:`register` can be stepped by hand::
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, solve_triangular
 
 from .cloudio import NormalizationRecord, PointCloud, denormalize, normalize
 from .errors import DegenerateGeometryError, ShapeMismatchError
@@ -102,8 +103,10 @@ class RegistrationParams:
     gamma: scales the initial residual variance.
     kappa: mixing-weight concentration; math.inf keeps weights uniform.
     tol: stop once the relative change of the residual variance drops below
-        this (0 disables convergence, inf stops after one iteration).
-    max_iters: iteration cap.
+        this (0 disables convergence, inf stops after one iteration). At
+        SIGMA2_FLOOR, where that change is 0, the RMS shift of the moved
+        source over the iteration must be below it too.
+    max_iters: iteration cap, an integer of at least 1.
     use_sigma_correction: carry the field's posterior variance through the
         mixture densities and the variance update, as BCPD does; off, that
         variance is held at exactly 0, which is the uncorrected model.
@@ -131,6 +134,10 @@ class RegistrationParams:
             raise ValueError("kappa must be positive")
         if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
+        try:
+            operator.index(self.max_iters)
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -232,7 +239,7 @@ class RegistrationState:
     matched_colors: np.ndarray
     mixing_weights: np.ndarray
     displacement: np.ndarray
-    displacement_var: np.ndarray | None
+    displacement_var: np.ndarray
     sigma2: float
     transform: SimilarityTransform
     moved_source: np.ndarray
@@ -399,17 +406,17 @@ def update_displacement(
     terms are subtracted, so no rounding error is scaled up by c/lam, which
     reaches 2e6 at the variance floor.
 
-    With the sigma correction on, the same solve also takes S G as M more
-    right-hand-side columns, for the diagonal of Sigma:
+    The solve is the same with the sigma correction on or off. With it on,
+    the diagonal of Sigma is read off the factor K = L L^T that the solve
+    leaves in K, with one triangular solve W = L^-1 S G:
 
-        displacement_var = (1 - (c/lam) colsum(S G * K^-1 S G)) / lam;
+        displacement_var = (1 - (c/lam) colsum(W * W)) / lam;
 
     with it off, displacement_var keeps its value of 0.
 
     K is built once, C-ordered, and handed to :func:`solve_spd`, which
     factors it in place; so next to the Gram the update holds one M x M
-    array, or three with the correction (K, S G beside the residual, and
-    their solution).
+    array, or two with the correction (K and S G, which W overwrites).
     """
     params = problem.params
     y = problem.source.vertices
@@ -423,12 +430,12 @@ def update_displacement(
     k *= ratio
     k.flat[:: m + 1] += 1.0
     residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
-    rhs = root[:, None] * (np.hstack([residual, g]) if params.use_sigma_correction else residual)
-    solved = solve_spd(k, rhs)
-    disp = ratio * (g @ (root[:, None] * solved[:, :3]))
+    disp = ratio * (g @ (root[:, None] * solve_spd(k, root[:, None] * residual)))
     var = state.displacement_var
     if params.use_sigma_correction:
-        var = (1.0 - ratio * np.einsum("ij,ij->j", rhs[:, 3:], solved[:, 3:])) / params.lam
+        # k.T holds L in its lower triangle; (g * root).T is S G, F-ordered
+        w = solve_triangular(k.T, (g * root).T, lower=True, overwrite_b=True, check_finite=False)
+        var = (1.0 - ratio * np.einsum("ij,ij->j", w, w)) / params.lam
     moved = tr.apply(y + disp)
     return replace(state, displacement=disp, displacement_var=var, moved_source=moved)
 
@@ -552,6 +559,10 @@ def register(
 ) -> RegistrationResult:
     """Run the full loop until the residual variance stalls or the cap hits.
 
+    At SIGMA2_FLOOR the variance stalls by clamping, not by fitting, so
+    there the moved source must have stalled as well: its RMS shift over
+    the iteration must be below ``tol``.
+
     Both clouds are normalized independently first; the problem (Gram
     matrix, outlier term, target table) is built once over the normalized
     clouds. The loop is free of randomness, so identical inputs produce
@@ -566,11 +577,15 @@ def register(
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iters + 1):
+        moved = state.moved_source
         state = e_step(state, problem)
         state = update_displacement(state, problem)
         state = update_similarity(state, problem)
         history.append(state.sigma2)
-        if abs(history[-1] - history[-2]) / history[-2] < params.tol:
+        if abs(history[-1] - history[-2]) / history[-2] < params.tol and (
+            state.sigma2 > SIGMA2_FLOOR
+            or np.linalg.norm(state.moved_source - moved) / math.sqrt(len(moved)) < params.tol
+        ):
             converged = True
             break
     return RegistrationResult(

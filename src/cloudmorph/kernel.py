@@ -96,9 +96,11 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     C-ordered float64 A is consumed: ``dposv`` factors it where it lies,
     reading its upper triangle with the diagonal and overwriting them with
     the factor (its transpose is the Fortran-ordered lower factor
-    ``cho_factor`` gives). Its strict lower triangle is left as it was. Any
-    other A is copied first and left intact; the copy of a read-only A must
-    stay, because with ``overwrite_a=1`` SciPy's LAPACK wrapper writes
+    ``cho_factor`` gives). Its strict lower triangle is left as it was, so
+    ``A.T`` then holds the lower factor L of A = L L^T in its lower
+    triangle, which ``update_displacement`` reads for the field's variance.
+    Any other A is copied first and left intact; the copy of a read-only A
+    must stay, because with ``overwrite_a=1`` SciPy's LAPACK wrapper writes
     straight through an array marked read-only.
 
     A is factored once and never regularized: if ``dposv`` finds it not

@@ -127,6 +127,16 @@ class TestRegistrationParams:
         RegistrationParams(tol=0.0)  # forced non-convergence is allowed
         RegistrationParams(tol=math.inf)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_max_iters_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            RegistrationParams(max_iters=value)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        cloud = make_cloud(20, seed=7)
+        result = register(cloud, cloud, RegistrationParams(tol=0.0, max_iters=np.int64(2)))
+        assert result.iterations == 2
+
     @pytest.mark.parametrize("name", ["beta", "lam", "gamma", "kappa", "tol"])
     def test_nan_rejected(self, name):
         # NaN fails every comparison; a check written as ``x <= 0`` lets it pass
@@ -701,7 +711,8 @@ class TestUpdateDisplacement:
     @pytest.mark.parametrize("use_sigma_correction", [False, True])
     def test_single_solve_per_update(self, use_sigma_correction, monkeypatch):
         # the covariance is never formed: one solve with a 3-column
-        # right-hand side, plus M columns for the variances when requested
+        # right-hand side, with the correction on or off; the variances are
+        # read off the factor that solve leaves behind
         rng = np.random.default_rng(61)
         source = cloud_of(make_normalized_points(20, rng))
         target = cloud_of(make_normalized_points(25, rng))
@@ -716,13 +727,25 @@ class TestUpdateDisplacement:
 
         monkeypatch.setattr(bcpd, "solve_spd", recording_solve)
         update_displacement(state, problem)
-        assert shapes == [((20, 20), (20, 23 if use_sigma_correction else 3))]
+        assert shapes == [((20, 20), (20, 3))]
 
-    @pytest.mark.parametrize("use_sigma_correction, bound", [(False, 1.25), (True, 3.25)])
+    def test_correction_leaves_the_displacement_bitwise_unchanged(self):
+        rng = np.random.default_rng(63)
+        source = cloud_of(make_normalized_points(200, rng))
+        target = cloud_of(make_normalized_points(220, rng))
+        off, on = (build_problem(source, target, RegistrationParams(use_sigma_correction=flag))
+                   for flag in (False, True))
+        state = replace(e_step(init_state(off), off), sigma2=1e-3)
+        plain, corrected = (update_displacement(state, problem) for problem in (off, on))
+        npt.assert_array_equal(corrected.displacement, plain.displacement)
+        npt.assert_array_equal(corrected.moved_source, plain.moved_source)
+        assert np.all(corrected.displacement_var > 0.0)
+
+    @pytest.mark.parametrize("use_sigma_correction, bound", [(False, 1.25), (True, 2.25)])
     def test_update_peak_memory(self, use_sigma_correction, bound):
         # K is factored where it is built: besides the Gram, one update holds
-        # one M x M array, or three with the correction (K, the right-hand
-        # sides, their solution); a copy of K for the factor would add one
+        # one M x M array, or two with the correction (K, and S G, which the
+        # triangular solve overwrites); a copy of K or of S G would add one
         m = 1000
         rng = np.random.default_rng(1000)
         source = cloud_of(make_normalized_points(m, rng))
@@ -992,6 +1015,40 @@ class TestRegister:
         assert np.linalg.norm(result.transform.rotation - np.eye(3)) <= 0.02
         assert abs(result.transform.scale - 1.0) <= 0.02
         assert np.linalg.norm(result.transform.translation) <= 0.02
+
+    def test_floor_hit_is_not_convergence_while_the_source_moves(self, monkeypatch):
+        # criterion 2's first rigid pair reaches the variance floor while the
+        # moved source still shifts by more than tol per iteration; a sigma2
+        # clamped at the floor twice changes by 0, which alone must not stop
+        # the run
+        rng = np.random.default_rng(2000)
+        base = make_normalized_points(300, rng)
+        angle = np.deg2rad(rng.uniform(5.0, 30.0))
+        axis = rng.normal(size=3)
+        rot = Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+        trans = rng.uniform(-0.5, 0.5, size=3)
+        noisy = base @ rot.T + trans + rng.normal(0.0, 0.005, size=base.shape)
+        colors = rng.uniform(size=(300, 3))
+        moved = []
+
+        def recorded(*args, _step=bcpd.update_similarity):
+            state = _step(*args)
+            moved.append(state.moved_source)
+            return state
+
+        monkeypatch.setattr(bcpd, "update_similarity", recorded)
+        params = RegistrationParams()
+        result = register(PointCloud(base, colors, "src"), PointCloud(noisy, colors, "tgt"), params)
+        shifts = [rms(a, b) for a, b in zip(moved, moved[1:])]
+        floored = [s == SIGMA2_FLOOR for s in result.sigma2_history[1:]]
+        # at some iteration sigma2 sat on the floor twice with the source
+        # still moving, and the run went on past it
+        assert any(floored[i - 1] and floored[i] and shifts[i - 1] >= params.tol
+                   for i in range(1, len(floored)))
+        assert result.converged
+        assert result.iterations < params.max_iters
+        assert result.state.sigma2 == SIGMA2_FLOOR
+        assert shifts[-1] < params.tol
 
     def test_rigid_recovery(self):
         rng = np.random.default_rng(17)
