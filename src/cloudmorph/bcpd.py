@@ -20,10 +20,10 @@ scaled to unit RMS radius) so the hyperparameters are independent of the
 physical units; results carry the normalization records needed to map back.
 
 Everything the updates read that does not change between iterations (the
-clouds, the parameters, the source Gram matrix, the outlier density and the
-centered target table) is a :class:`RegistrationProblem`, built once by
-:func:`build_problem`. Each update takes the current state and the problem,
-so the loop of :func:`register` can be stepped by hand::
+source cloud, the parameters, the source Gram matrix, the outlier density
+and the centered target table) is a :class:`RegistrationProblem`, built
+once by :func:`build_problem`. Each update takes the current state and the
+problem, so the loop of :func:`register` can be stepped by hand::
 
     problem = build_problem(source, target, params)
     state = init_state(problem)
@@ -147,7 +147,8 @@ class RegistrationProblem:
     """What every iteration reads but none changes, for M source and N
     target points; built once per registration by :func:`build_problem`.
 
-    source, target:   the two clouds (normalized, when built by register).
+    source:           the source cloud (normalized, when built by register);
+                      the target is held only as the tables below.
     params:           the loop's hyperparameters.
     gram:             Gaussian Gram matrix of the source, bandwidth params.beta.
     log_outlier:      log(omega / ((1 - omega) volume)), volume that of the
@@ -160,7 +161,6 @@ class RegistrationProblem:
     """
 
     source: PointCloud
-    target: PointCloud
     params: RegistrationParams
     gram: GramMatrix
     log_outlier: float
@@ -200,7 +200,7 @@ def build_problem(
     for table in tables.values():
         table.setflags(write=False)
     gram = build_gram(source.vertices, params.beta)
-    return RegistrationProblem(source, target, params, gram, log_outlier, **tables)
+    return RegistrationProblem(source, params, gram, log_outlier, **tables)
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def init_state(problem: RegistrationProblem) -> RegistrationState:
     """
     source, params = problem.source, problem.params
     y = source.vertices
-    m, n = len(source), len(problem.target)
+    m, n = len(source), len(problem.target_table)
     y_bar = y.mean(axis=0)
     mean_d2 = (
         float(np.sum((y_bar - problem.center) ** 2))
@@ -327,11 +327,16 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     radius it is about 2e-8. Only the sufficient statistics are accumulated:
     target_mass = P.T @ 1, and P @ target_table, which holds source_mass =
     P @ 1 and gives the matched targets and colors. Source points with
-    (near) zero matched mass keep their own moved position and color.
+    (near) zero matched mass keep their own moved position and color. The
+    mixing weights are
+
+        w_m = (1 + source_mass_m / kappa) / (M + sum(source_mass) / kappa),
+
+    exactly 1 / M at kappa = inf.
     """
     source, params = problem.source, problem.params
     y = state.moved_source
-    m, n = len(source), len(problem.target)
+    m, n = len(source), len(problem.target_table)
     log_weight = (np.log(state.mixing_weights) - 1.5 * math.log(2.0 * math.pi * state.sigma2)
                   - state.transform.scale**2 * 3.0 * state.displacement_var / (2.0 * state.sigma2))
 
@@ -372,10 +377,7 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     matched_targets[weak] = y[weak]
     matched_colors = moments[:, 4:] / safe
     matched_colors[weak] = source.colors[weak]
-    if math.isfinite(params.kappa):
-        mixing = (params.kappa + source_mass) / (params.kappa * m + total)
-    else:
-        mixing = np.full(m, 1.0 / m)
+    mixing = (1.0 + source_mass / params.kappa) / (m + total / params.kappa)
     return replace(
         state,
         source_mass=source_mass,
@@ -408,7 +410,7 @@ def update_displacement(
 
     The solve is the same with the sigma correction on or off. With it on,
     the diagonal of Sigma is read off the factor K = L L^T that the solve
-    leaves in K, with one triangular solve W = L^-1 S G:
+    returns, with one triangular solve W = L^-1 S G:
 
         displacement_var = (1 - (c/lam) colsum(W * W)) / lam;
 
@@ -430,11 +432,12 @@ def update_displacement(
     k *= ratio
     k.flat[:: m + 1] += 1.0
     residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
-    disp = ratio * (g @ (root[:, None] * solve_spd(k, root[:, None] * residual)))
+    x, low = solve_spd(k, root[:, None] * residual)
+    disp = ratio * (g @ (root[:, None] * x))
     var = state.displacement_var
     if params.use_sigma_correction:
-        # k.T holds L in its lower triangle; (g * root).T is S G, F-ordered
-        w = solve_triangular(k.T, (g * root).T, lower=True, overwrite_b=True, check_finite=False)
+        # low holds L in its lower triangle; (g * root).T is S G, F-ordered
+        w = solve_triangular(low, (g * root).T, lower=True, overwrite_b=True, check_finite=False)
         var = (1.0 - ratio * np.einsum("ij,ij->j", w, w)) / params.lam
     moved = tr.apply(y + disp)
     return replace(state, displacement=disp, displacement_var=var, moved_source=moved)

@@ -19,6 +19,7 @@ deterministic given its inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -227,14 +228,16 @@ def _load_input_cloud(
 ) -> PointCloud:
     """Read a PLY file and subsample it.
 
-    ``loaded`` maps paths to clouds already read; a path missing from it is
-    read and added, so a batch reads each file once.
+    ``loaded`` maps resolved paths to clouds already read; a file missing
+    from it is read and added, so a batch reads each file once, however
+    its path is spelled.
     """
     if loaded is None:
         loaded = {}
-    if path not in loaded:
-        loaded[path] = load_ply(path)
-    cloud = loaded[path]
+    key = os.path.realpath(path)
+    if key not in loaded:
+        loaded[key] = load_ply(path)
+    cloud = loaded[key]
     if downsample_to > 0:
         cloud = downsample(cloud, downsample_to, seed)
     return cloud
@@ -333,23 +336,31 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     params = _params_from_args(args)
     pairs = _read_pairing_csv(args.pairs)
+    # Subjects are told apart by their resolved paths, however spelled;
+    # realpath, unlike Path.resolve, does not raise on a symlink loop.
+    resolved = [(os.path.realpath(p["subject_a"]), os.path.realpath(p["subject_b"])) for p in pairs]
+    subjects = set().union(*resolved)
+    clobbered = [p["morph_id"] for p in pairs
+                 if os.path.realpath(out / f"{p['morph_id']}.ply") in subjects]
+    if clobbered:
+        raise ValueError(f"{args.pairs}: morph_id values {clobbered} would overwrite subjects in {out}")
     # Each subject is read once and dropped after the last valid pair that
     # uses it, so only subjects a later pair still needs stay in memory.
     last_use = {}
-    for index, pair in enumerate(pairs):
-        if pair["subject_a"] != pair["subject_b"]:
-            last_use[pair["subject_a"]] = last_use[pair["subject_b"]] = index
+    for index, (a, b) in enumerate(resolved):
+        if a != b:
+            last_use[a] = last_use[b] = index
     loaded = {}
     manifest_rows = []
     done = 0
-    for index, pair in enumerate(pairs):
+    for index, (pair, (a, b)) in enumerate(zip(pairs, resolved)):
         alpha = pair["alpha"] if pair["alpha"] is not None else args.alpha
         row = dict.fromkeys(_MANIFEST_COLUMNS, "")
         row.update(pair, alpha=alpha)
         manifest_rows.append(row)
-        if pair["subject_a"] == pair["subject_b"]:
+        if a == b:
             row["status"] = "invalid"
-            row["detail"] = "subject paths are identical"
+            row["detail"] = "subject paths name the same file"
             continue
         try:
             blended, result = _run_pair(
@@ -363,7 +374,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except _INPUT_ERRORS as exc:
             row["status"] = "error"
             row["detail"] = str(exc)
-        for path in (pair["subject_a"], pair["subject_b"]):
+        for path in (a, b):
             if last_use[path] == index:
                 loaded.pop(path, None)
     write_csv_rows(out / "manifest.csv", _MANIFEST_COLUMNS, [row.values() for row in manifest_rows])

@@ -9,7 +9,7 @@ from scipy.linalg import issymmetric, lapack
 
 from .errors import NotPositiveDefiniteError
 
-# Elements of the row panel squared_distances subtracts at a time.
+# Elements of the row panels squared_distances and nearest_rows work on at a time.
 DISTANCE_PANEL = 1 << 16
 
 
@@ -38,17 +38,28 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index of the row of y nearest each row of x, lowest index on ties.
+
+    The distances are taken in row panels of about DISTANCE_PANEL
+    elements, so no (len(x), len(y)) array is held.
+    """
+    rows = max(1, DISTANCE_PANEL // len(y))
+    return np.concatenate([squared_distances(x[lo:lo + rows], y).argmin(axis=1)
+                           for lo in range(0, len(x), rows)])
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Pairwise Gaussian kernel evaluations over a single point set.
 
     Exactly symmetric with a diagonal of exactly 1.0, as :func:`build_gram`
     builds it; a matrix with a NaN anywhere fails this. Positive
-    semi-definite up to floating-point noise.
+    semi-definite up to floating-point noise. Its bandwidth is not kept
+    here: it is the registration's ``params.beta``.
     """
 
     values: np.ndarray
-    beta: float
 
     def __post_init__(self) -> None:
         v = self.values
@@ -59,15 +70,12 @@ class GramMatrix:
             v = np.array(v, dtype=np.float64, copy=True)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {v.shape}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
         if not issymmetric(v):
             raise ValueError("Gram matrix must be exactly symmetric")
         if not np.all(np.diagonal(v) == 1.0):
             raise ValueError("Gram matrix must have a unit diagonal")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "beta", float(self.beta))
 
 
 def build_gram(points, beta: float) -> GramMatrix:
@@ -85,21 +93,20 @@ def build_gram(points, beta: float) -> GramMatrix:
     np.exp(values, out=values)
     np.fill_diagonal(values, 1.0)
     values.setflags(write=False)
-    return GramMatrix(values, beta)
+    return GramMatrix(values)
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B for symmetric positive-definite A via Cholesky, in place.
 
-    One LAPACK ``dposv`` call factors A and solves with the factor; its
-    solution is bitwise the one ``dpotrf`` then ``dpotrs`` give. A writeable
-    C-ordered float64 A is consumed: ``dposv`` factors it where it lies,
-    reading its upper triangle with the diagonal and overwriting them with
-    the factor (its transpose is the Fortran-ordered lower factor
-    ``cho_factor`` gives). Its strict lower triangle is left as it was, so
-    ``A.T`` then holds the lower factor L of A = L L^T in its lower
-    triangle, which ``update_displacement`` reads for the field's variance.
-    Any other A is copied first and left intact; the copy of a read-only A
+    Returns (X, low): one LAPACK ``dposv`` call factors A and solves with
+    the factor, and ``low`` is the Fortran-ordered matrix it factored, whose
+    lower triangle is the factor L of A = L L^T that ``cho_factor`` gives
+    (its strict upper triangle is not part of L). A writeable C-ordered
+    float64 A is consumed: ``low`` is then ``A.T``, so the factor
+    overwrites A's upper triangle with the diagonal, and A's strict lower
+    triangle is left as it was. Any other A is copied first and left
+    intact, and ``low`` is the factored copy; the copy of a read-only A
     must stay, because with ``overwrite_a=1`` SciPy's LAPACK wrapper writes
     straight through an array marked read-only.
 
@@ -124,7 +131,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("A is not symmetric")
     # a.T is Fortran-ordered, so dposv neither copies it nor touches a's
     # strict lower triangle
-    _, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
+    low, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"matrix of size {len(a)} is not positive definite")
-    return x
+    return x, low

@@ -17,7 +17,7 @@ import numpy as np
 from .bcpd import MASS_EPS, RegistrationState, apply_transform
 from .cloudio import PointCloud
 from .errors import ShapeMismatchError
-from .kernel import DISTANCE_PANEL, squared_distances
+from .kernel import nearest_rows
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ def correspondence_targets(
     target positions and colors from the last E-step. Source points with
     (near) zero matched mass fall back to the target vertex nearest their
     moved position, ties broken by lowest index, for both position and
-    color; their distances are taken in panels of about DISTANCE_PANEL
-    elements, so no (weak points x targets) array is held.
+    color; :func:`~cloudmorph.kernel.nearest_rows` finds it without holding
+    a (weak points x targets) array.
     """
     if len(state.target_mass) != len(target):
         raise ShapeMismatchError(
@@ -57,12 +57,7 @@ def correspondence_targets(
     coords = state.matched_targets.copy()
     colors = state.matched_colors.copy()
     if np.any(weak):
-        moved = state.moved_source[weak]
-        rows = max(1, DISTANCE_PANEL // len(target))
-        nearest = np.concatenate([
-            squared_distances(moved[lo:lo + rows], target.vertices).argmin(axis=1)
-            for lo in range(0, len(moved), rows)
-        ])
+        nearest = nearest_rows(state.moved_source[weak], target.vertices)
         coords[weak] = target.vertices[nearest]
         colors[weak] = target.colors[nearest]
     return coords, colors

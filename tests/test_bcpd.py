@@ -513,26 +513,30 @@ class TestEStep:
         assert state.source_mass[1] < 1e-12
         npt.assert_array_equal(state.matched_targets[1], source.vertices[1])
 
-    def test_finite_kappa_mixing_update(self):
+    @pytest.mark.parametrize("kappa", [2.0, 3.0])
+    def test_finite_kappa_mixing_update(self, kappa):
         source = cloud_of([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         target = cloud_of([[0.1, 0.2, 0.3], [1.0, 0.8, 0.9]])
-        params = RegistrationParams(omega=0.1, kappa=2.0)
+        params = RegistrationParams(omega=0.1, kappa=kappa)
         problem = build_problem(source, target, params)
         state = replace(init_state(problem), sigma2=1.0)
         state = e_step(state, problem)
         total = state.source_mass.sum()
-        expected = (2.0 + state.source_mass) / (2.0 * 2 + total)
+        expected = (kappa + state.source_mass) / (kappa * 2 + total)
         npt.assert_allclose(state.mixing_weights, expected, atol=1e-15)
         assert state.mixing_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_infinite_kappa_keeps_uniform(self):
-        source = cloud_of([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        # the one mixing formula gives exactly 1 / M at kappa = inf, also
+        # for M = 3, whose reciprocal is not exact in binary
+        source = cloud_of([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.0]])
         target = cloud_of([[0.1, 0.2, 0.3], [1.0, 0.8, 0.9]])
         params = RegistrationParams(omega=0.1)
         problem = build_problem(source, target, params)
         state = replace(init_state(problem), sigma2=1.0)
         state = e_step(state, problem)
-        npt.assert_array_equal(state.mixing_weights, [0.5, 0.5])
+        assert state.source_mass.sum() > 0
+        npt.assert_array_equal(state.mixing_weights, np.full(3, 1.0 / 3))
 
 
 class TestUpdateDisplacement:

@@ -56,3 +56,11 @@ def test_traced_pipeline_and_eval_produce_every_declared_layer_metric(tmp_path):
     spec = json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text())
     declared = {metric["name"] for metric in spec["per_layer"]}
     assert sorted(declared - FROM_TIMINGS - set(worker.layer_metrics(tracer, 1))) == []
+
+    # A hook that cannot read its call is counted in trace.count_errors and
+    # leaves its metric at 0. The E-step's reads an M x N argument the
+    # E-step no longer takes (ROADMAP item 2), so it fails once per call;
+    # every other hook must count.
+    counted = set(tracer.counts) - {"trace.count_errors", "bcpd.e_step.bytes_computed"}
+    assert sorted(name for name in counted if not tracer.counts[name] > 0) == []
+    assert tracer.counts["trace.count_errors"] <= tracer.summary()["bcpd.e_step"]["calls"]

@@ -140,9 +140,11 @@ class TestPipelineCommand:
         assert all(row["status"] in ("converged", "not_converged") for row in manifest)
         assert all(int(row["iterations"]) >= 1 for row in manifest)
 
-    def test_identical_paths_flagged_invalid(self, cloud_files, tmp_path):
+    # the same file spelled the same way, or another way
+    @pytest.mark.parametrize("spelling", ["{a}", "{a.parent}/./{a.name}"])
+    def test_identical_paths_flagged_invalid(self, spelling, cloud_files, tmp_path):
         rows = [
-            f"{cloud_files['a']},{cloud_files['a']},morph_self",
+            f"{cloud_files['a']},{spelling.format(a=cloud_files['a'])},morph_self",
             f"{cloud_files['c']},{cloud_files['d']},morph_cd",
         ]
         pairs = self.write_pairs(tmp_path, cloud_files, rows)
@@ -156,9 +158,13 @@ class TestPipelineCommand:
         assert not (out / "morph_self.ply").exists()
         assert (out / "morph_cd.ply").exists()
 
-    def test_bad_pair_recorded_others_proceed(self, cloud_files, tmp_path):
+    # a missing file, and a symlink to itself that cannot be resolved
+    @pytest.mark.parametrize("name", ["ghost.ply", "loop.ply"])
+    def test_bad_pair_recorded_others_proceed(self, name, cloud_files, tmp_path):
+        if name == "loop.ply":
+            (tmp_path / name).symlink_to(tmp_path / name)
         rows = [
-            f"{tmp_path / 'ghost.ply'},{cloud_files['b']},morph_bad",
+            f"{tmp_path / name},{cloud_files['b']},morph_bad",
             f"{cloud_files['c']},{cloud_files['d']},morph_cd",
         ]
         pairs = self.write_pairs(tmp_path, cloud_files, rows)
@@ -168,7 +174,7 @@ class TestPipelineCommand:
         with (out / "manifest.csv").open() as handle:
             manifest = {row["morph_id"]: row for row in csv.DictReader(handle)}
         assert manifest["morph_bad"]["status"] == "error"
-        assert "ghost.ply" in manifest["morph_bad"]["detail"]
+        assert name in manifest["morph_bad"]["detail"]
         assert manifest["morph_cd"]["status"] == "converged"
 
     def test_bare_property_line_recorded_others_proceed(self, cloud_files, tmp_path):
@@ -187,6 +193,47 @@ class TestPipelineCommand:
         assert manifest["morph_bad"]["status"] == "error"
         assert manifest["morph_bad"]["detail"] == f"{bad}: bad property line 'property'"
         assert manifest["morph_cd"]["status"] == "converged"
+
+    def test_subject_spelled_two_ways_is_read_once(self, cloud_files, tmp_path, monkeypatch):
+        a = cloud_files["a"]
+        rows = [
+            f"{a},{cloud_files['b']},morph_ab",
+            f"{a.parent}/./{a.name},{cloud_files['c']},morph_ac",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        reads = []
+
+        def counting_load(path):
+            reads.append(Path(path).name)
+            return load_ply(path)
+
+        monkeypatch.setattr(cli, "load_ply", counting_load)
+        code = cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "batch"),
+                         "--downsample", "50", "--max-iters", "2"])
+        assert code == 0
+        assert sorted(reads) == ["a.ply", "b.ply", "c.ply"]
+        with (tmp_path / "batch" / "manifest.csv").open() as handle:
+            spelled = [row["subject_a"] for row in csv.DictReader(handle)]
+        assert spelled == [str(a), f"{a.parent}/./{a.name}"]
+
+    # a morph_id that names its own subject, or another pair's
+    @pytest.mark.parametrize("morph_id, clobbered", [("b", "b"), ("c", "c")])
+    def test_morph_over_a_subject_is_file_level_error(
+        self, morph_id, clobbered, cloud_files, tmp_path, capsys
+    ):
+        rows = [
+            f"{cloud_files['a']},{cloud_files['b']},{morph_id}",
+            f"{cloud_files['c']},{cloud_files['d']},morph_cd",
+        ]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        before = cloud_files[clobbered].read_bytes()
+        code = cli.main(["pipeline", str(pairs), "--out", str(tmp_path / "sub" / ".."),
+                         "--downsample", "50"])
+        assert code == 1
+        assert repr(morph_id) in capsys.readouterr().err
+        # the check runs before the first pair, so no subject is overwritten
+        assert cloud_files[clobbered].read_bytes() == before
+        assert not (tmp_path / "morph_cd.ply").exists()
 
     def test_duplicate_morph_id_is_file_level_error(self, cloud_files, tmp_path):
         rows = [

@@ -32,8 +32,6 @@ class TestBuildGram:
         points = np.eye(3)
         with pytest.raises(ValueError, match="beta must be positive"):
             build_gram(points, beta=beta)
-        with pytest.raises(ValueError, match="beta must be positive"):
-            GramMatrix(np.eye(3), beta=beta)
 
     @pytest.mark.parametrize("m", [1, 300, 1000])
     def test_equals_cdist_gram(self, m):
@@ -89,28 +87,28 @@ class TestBuildGram:
         # single ulp, is caught
         m = 600
         values = build_gram(np.random.default_rng(601).normal(size=(m, 3)), beta=0.3).values
-        GramMatrix(values, beta=0.3)
+        GramMatrix(values)
         beyond = values.copy()
         beyond[m - 1, m - 2] += 2e-12
         with pytest.raises(ValueError, match="exactly symmetric"):
-            GramMatrix(beyond, beta=0.3)
+            GramMatrix(beyond)
         ulp = values.copy()
         ulp[m - 1, m - 2] = np.nextafter(ulp[m - 1, m - 2], np.inf)
         with pytest.raises(ValueError, match="exactly symmetric"):
-            GramMatrix(ulp, beta=0.3)
+            GramMatrix(ulp)
 
     def test_nan_pair_off_diagonal_rejected(self):
         values = np.eye(3)
         values[0, 2] = values[2, 0] = np.nan
         with pytest.raises(ValueError, match="exactly symmetric"):
-            GramMatrix(values, beta=0.3)
+            GramMatrix(values)
 
     @pytest.mark.parametrize("entry", [np.nan, np.nextafter(1.0, 2.0)])
     def test_diagonal_not_exactly_one_rejected(self, entry):
         values = build_gram(np.random.default_rng(5).normal(size=(4, 3)), beta=0.3).values.copy()
         values[2, 2] = entry
         with pytest.raises(ValueError, match="unit diagonal"):
-            GramMatrix(values, beta=0.3)
+            GramMatrix(values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -132,7 +130,7 @@ class TestBuildGram:
     def test_caller_array_is_copied(self):
         values = build_gram(np.random.default_rng(7).normal(size=(5, 3)), beta=0.3).values
         mine = values.copy()
-        gram = GramMatrix(mine, beta=0.3)
+        gram = GramMatrix(mine)
         mine[0, 1] = mine[1, 0] = 0.25
         npt.assert_array_equal(gram.values, values)
         assert not gram.values.flags.writeable
@@ -140,19 +138,20 @@ class TestBuildGram:
     def test_invariants_validated(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ValueError):
-            GramMatrix(bad, beta=1.0)
+            GramMatrix(bad)
         bad_diag = np.array([[0.5, 0.1], [0.1, 0.5]])
         with pytest.raises(ValueError):
-            GramMatrix(bad_diag, beta=1.0)
+            GramMatrix(bad_diag)
 
 
 class TestSolveSpd:
     def test_identity_system(self, rng):
         b = rng.normal(size=(6, 2))
-        npt.assert_allclose(solve_spd(np.eye(6), b), b, atol=1e-14)
+        x, _ = solve_spd(np.eye(6), b)
+        npt.assert_allclose(x, b, atol=1e-14)
 
     def test_scalar_system(self):
-        x = solve_spd(2.0 * np.eye(4), np.ones((4, 3)))
+        x, _ = solve_spd(2.0 * np.eye(4), np.ones((4, 3)))
         npt.assert_allclose(x, 0.5 * np.ones((4, 3)), atol=1e-14)
 
     def test_random_spd_residual(self):
@@ -165,7 +164,7 @@ class TestSolveSpd:
             a = (q * diag) @ q.T
             a = 0.5 * (a + a.T)
             b = rng.normal(size=(m, 3))
-            x = solve_spd(a.copy(), b)
+            x, _ = solve_spd(a.copy(), b)
             residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
             assert residual <= 1e-8
 
@@ -207,8 +206,8 @@ class TestSolveSpd:
             solve_spd(a, np.ones(2))
 
     def test_consumes_c_ordered_writeable(self):
-        # the factor is cho_factor's, written over the upper triangle; the
-        # strict lower triangle is left as it was
+        # the factor is cho_factor's, returned as A.T and so written over
+        # the upper triangle; the strict lower triangle is left as it was
         rng = np.random.default_rng(41)
         m = 40
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
@@ -217,8 +216,10 @@ class TestSolveSpd:
         original = a.copy()
         b = rng.normal(size=(m, 3))
         factor = cho_factor(original, lower=True)
-        x = solve_spd(a, b)
+        x, low = solve_spd(a, b)
         npt.assert_array_equal(x, cho_solve(factor, b))
+        assert np.shares_memory(low, a) and low.flags.f_contiguous
+        npt.assert_array_equal(np.tril(low), np.tril(factor[0]))
         npt.assert_array_equal(np.triu(a), np.tril(factor[0]).T)
         npt.assert_array_equal(np.tril(a, -1), np.tril(original, -1))
 
@@ -232,7 +233,9 @@ class TestSolveSpd:
             a = np.asfortranarray(a, dtype=np.float64)
         original = a.copy()
         b = np.arange(8.0).reshape(4, 2)
-        x = solve_spd(a, b)
+        x, low = solve_spd(a, b)
         npt.assert_array_equal(a, original)
         factor = cho_factor(original.astype(np.float64), lower=True)
         npt.assert_array_equal(x, cho_solve(factor, b))
+        assert not np.shares_memory(low, a)
+        npt.assert_array_equal(np.tril(low), np.tril(factor[0]))
