@@ -42,11 +42,11 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas, solve_triangular
+from scipy.linalg import blas
 
 from .cloudio import NormalizationRecord, PointCloud, denormalize, normalize
 from .errors import DegenerateGeometryError, ShapeMismatchError
-from .kernel import GramMatrix, build_gram, solve_spd
+from .kernel import GramMatrix, build_gram, field_posterior
 
 SIGMA2_FLOOR = 1e-8
 MASS_EPS = 1e-12
@@ -72,8 +72,10 @@ class SimilarityTransform:
         t = np.array(self.translation, dtype=np.float64, copy=True).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise ValueError("rotation and translation must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-8:
             raise ValueError("rotation must be orthogonal within 1e-8")
         if abs(float(np.linalg.det(r)) - 1.0) > 1e-8:
@@ -393,54 +395,24 @@ def update_displacement(
 ) -> RegistrationState:
     """Refit the smooth displacement field to the expected correspondences.
 
-    The displacement is c * Sigma @ (mass * residual), where the residual
-    pulls each expected target back through the current transform and
-    Sigma = (lam * G^-1 + c diag(mass))^-1 is the field's posterior
-    covariance, c = s^2 / sigma2. Sigma is never formed and G never
-    inverted: with S = diag(sqrt(mass)), the push-through identity
-    (lam G^-1 + c S^2)^-1 S = (G / lam) S K^-1 gives
-
-        displacement = (c/lam) * G @ (S K^-1 S residual),
-        K = I + (c/lam) S G S,
-
-    one solve that is symmetric positive-definite (I + PSD) even when
-    individual masses vanish, and one product with G. No two nearly equal
-    terms are subtracted, so no rounding error is scaled up by c/lam, which
-    reaches 2e6 at the variance floor.
-
-    The solve is the same with the sigma correction on or off. With it on,
-    the diagonal of Sigma is read off the factor K = L L^T that the solve
-    returns, with one triangular solve W = L^-1 S G:
-
-        displacement_var = (1 - (c/lam) colsum(W * W)) / lam;
-
-    with it off, displacement_var keeps its value of 0.
-
-    K is built once, C-ordered, and handed to :func:`solve_spd`, which
-    factors it in place; so next to the Gram the update holds one M x M
-    array, or two with the correction (K and S G, which W overwrites).
+    The residual pulls each expected target back through the current
+    transform; the displacement is the posterior mean of the field that
+    :func:`~cloudmorph.kernel.field_posterior` fits to it under the Gram
+    prior, with ratio = s^2 / (sigma2 lam), and the moved source is
+    refreshed under the unchanged transform. With the sigma correction on,
+    displacement_var is the field's posterior variance, that function's
+    variance divided by lam; with it off, displacement_var keeps its
+    value of 0.
     """
     params = problem.params
     y = problem.source.vertices
-    m = len(y)
     tr = state.transform
     ratio = tr.scale * tr.scale / state.sigma2 / params.lam
-    g = problem.gram.values
-    root = np.sqrt(state.source_mass)
-    k = np.outer(root, root)
-    k *= g
-    k *= ratio
-    k.flat[:: m + 1] += 1.0
     residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
-    x, low = solve_spd(k, root[:, None] * residual)
-    disp = ratio * (g @ (root[:, None] * x))
-    var = state.displacement_var
-    if params.use_sigma_correction:
-        # low holds L in its lower triangle; (g * root).T is S G, F-ordered
-        w = solve_triangular(low, (g * root).T, lower=True, overwrite_b=True, check_finite=False)
-        var = (1.0 - ratio * np.einsum("ij,ij->j", w, w)) / params.lam
-    moved = tr.apply(y + disp)
-    return replace(state, displacement=disp, displacement_var=var, moved_source=moved)
+    disp, var = field_posterior(problem.gram, state.source_mass, ratio, residual,
+                                params.use_sigma_correction)
+    var = state.displacement_var if var is None else var / params.lam
+    return replace(state, displacement=disp, displacement_var=var, moved_source=tr.apply(y + disp))
 
 
 def _procrustes_similarity(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None):

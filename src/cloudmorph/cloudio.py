@@ -152,7 +152,7 @@ def _parse_header(raw: bytes, path: Path):
     ("list", declaration_tokens) and only supported outside the vertex
     element.
     """
-    if not raw.startswith(b"ply"):
+    if not re.match(rb"ply\r*\n", raw):
         raise MalformedHeaderError(f"{path}: not a PLY file (missing 'ply' magic)")
     # the header ends at the first line that is exactly end_header, so a
     # comment that mentions it does not end it

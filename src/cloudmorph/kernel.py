@@ -1,11 +1,12 @@
-"""Gaussian Gram matrices, pairwise distances, and SPD solves."""
+"""Gaussian Gram matrices, pairwise distances, SPD solves, and the
+posterior of a field with a Gram-matrix prior."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import issymmetric, lapack
+from scipy.linalg import issymmetric, lapack, solve_triangular
 
 from .errors import NotPositiveDefiniteError
 
@@ -135,3 +136,47 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info > 0:
         raise NotPositiveDefiniteError(f"matrix of size {len(a)} is not positive definite")
     return x, low
+
+
+def field_posterior(gram: GramMatrix, mass, ratio: float, residual, variance: bool = False):
+    """Posterior mean, and optionally variance, of a Gaussian-process field.
+
+    The field v over M points has the prior N(0, G / lam) and observes the
+    (M, 3) residual r with per-point precision c * mass, ratio = c / lam.
+    Its posterior covariance is Sigma = (lam G^-1 + c diag(mass))^-1 and its
+    mean c Sigma (mass * r). Sigma is never formed and G never inverted:
+    with S = diag(sqrt(mass)), the push-through identity
+    (lam G^-1 + c S^2)^-1 S = (G / lam) S K^-1 gives
+
+        v = ratio * G @ (S K^-1 S r),
+        K = I + ratio * S G S,
+
+    one solve that is symmetric positive-definite (I + PSD) even when
+    individual masses vanish, and one product with G. The mean subtracts no
+    two nearly equal terms, so no rounding error is scaled up by ratio.
+
+    Returns (v, var). With ``variance`` set, var is the (M,) diagonal of
+    lam * Sigma = G - ratio * G S K^-1 S G, read off the factor K = L L^T
+    that :func:`solve_spd` returns with one triangular solve W = L^-1 S G
+    (the Gram's diagonal is 1):
+
+        var = 1 - ratio * colsum(W * W),
+
+    which does subtract nearly equal terms when ratio is large; otherwise
+    var is None. K is built once, C-ordered, and factored in place by the
+    solve; so next to the Gram this holds one M x M array, or two with the
+    variance (K and S G, which W overwrites).
+    """
+    g = gram.values
+    root = np.sqrt(mass)
+    k = np.outer(root, root)
+    k *= g
+    k *= ratio
+    k.flat[:: len(g) + 1] += 1.0
+    x, low = solve_spd(k, root[:, None] * residual)
+    field = ratio * (g @ (root[:, None] * x))
+    if not variance:
+        return field, None
+    # low holds L in its lower triangle; (g * root).T is S G, F-ordered
+    w = solve_triangular(low, (g * root).T, lower=True, overwrite_b=True, check_finite=False)
+    return field, 1.0 - ratio * np.einsum("ij,ij->j", w, w)

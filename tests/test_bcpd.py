@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
@@ -24,7 +25,7 @@ from cloudmorph import (
     update_displacement,
     update_similarity,
 )
-from cloudmorph import bcpd
+from cloudmorph import bcpd, kernel
 from cloudmorph.bcpd import SIGMA2_FLOOR
 from cloudmorph.errors import DegenerateGeometryError, ShapeMismatchError
 from conftest import make_cloud, make_normalized_points, rms
@@ -97,6 +98,17 @@ class TestSimilarityTransform:
         reflection = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             SimilarityTransform(1.0, reflection, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "scale, entry, shift",
+        [(1.0, math.nan, 0.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (math.inf, 1.0, 0.0)],
+        ids=["nan-rotation", "nan-translation", "inf-translation", "inf-scale"],
+    )
+    def test_non_finite_rejected(self, scale, entry, shift):
+        rotation = np.eye(3)
+        rotation[2, 2] = entry
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityTransform(scale, rotation, [0.0, shift, 0.0])
 
     def test_apply(self):
         rot = Rotation.from_euler("z", 90, degrees=True).as_matrix()
@@ -707,7 +719,7 @@ class TestUpdateDisplacement:
             symmetric.append(np.array_equal(a, a.T))
             return solve_spd(a, b)
 
-        monkeypatch.setattr(bcpd, "solve_spd", checking_solve)
+        monkeypatch.setattr(kernel, "solve_spd", checking_solve)
         out = update_displacement(state, problem)
         assert symmetric == [True]
         assert np.all(np.isfinite(out.displacement))
@@ -729,7 +741,7 @@ class TestUpdateDisplacement:
             shapes.append((a.shape, b.shape))
             return solve_spd(a, b)
 
-        monkeypatch.setattr(bcpd, "solve_spd", recording_solve)
+        monkeypatch.setattr(kernel, "solve_spd", recording_solve)
         update_displacement(state, problem)
         assert shapes == [((20, 20), (20, 3))]
 
@@ -744,6 +756,42 @@ class TestUpdateDisplacement:
         npt.assert_array_equal(corrected.displacement, plain.displacement)
         npt.assert_array_equal(corrected.moved_source, plain.moved_source)
         assert np.all(corrected.displacement_var > 0.0)
+
+    @pytest.mark.parametrize("use_sigma_correction", [False, True])
+    def test_equals_the_inline_update_bitwise(self, use_sigma_correction):
+        # Reference: the whole update written out inline, K, its factor and
+        # all; moving it behind kernel.field_posterior changes no arithmetic
+        rng = np.random.default_rng(64)
+        source = cloud_of(make_normalized_points(150, rng))
+        target = cloud_of(make_normalized_points(170, rng))
+        params = RegistrationParams(use_sigma_correction=use_sigma_correction)
+        problem = build_problem(source, target, params)
+        state = update_similarity(update_displacement(e_step(init_state(problem), problem),
+                                                      problem), problem)
+        state = e_step(state, problem)
+        out = update_displacement(state, problem)
+
+        y = source.vertices
+        m = len(y)
+        tr = state.transform
+        ratio = tr.scale * tr.scale / state.sigma2 / params.lam
+        g = problem.gram.values
+        root = np.sqrt(state.source_mass)
+        k = np.outer(root, root)
+        k *= g
+        k *= ratio
+        k.flat[:: m + 1] += 1.0
+        residual = ((state.matched_targets - tr.translation) @ tr.rotation) / tr.scale - y
+        x, low = solve_spd(k, root[:, None] * residual)
+        disp = ratio * (g @ (root[:, None] * x))
+        var = state.displacement_var
+        if use_sigma_correction:
+            w = solve_triangular(low, (g * root).T, lower=True, overwrite_b=True,
+                                 check_finite=False)
+            var = (1.0 - ratio * np.einsum("ij,ij->j", w, w)) / params.lam
+        npt.assert_array_equal(out.displacement, disp)
+        npt.assert_array_equal(out.displacement_var, var)
+        npt.assert_array_equal(out.moved_source, tr.apply(y + disp))
 
     @pytest.mark.parametrize("use_sigma_correction, bound", [(False, 1.25), (True, 2.25)])
     def test_update_peak_memory(self, use_sigma_correction, bound):

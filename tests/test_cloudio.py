@@ -389,6 +389,21 @@ class TestPly:
         with pytest.raises(MalformedHeaderError):
             load_ply(path)
 
+    @pytest.mark.parametrize("first", ["plywood", "ply extra", "ply"])
+    def test_first_line_is_exactly_ply(self, tmp_path, first):
+        # the magic is a whole line, as end_header is; a trailing \r is allowed
+        path = tmp_path / "magic.ply"
+        path.write_bytes(
+            f"{first}\r\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+            "property float y\nproperty float z\nproperty uchar red\nproperty uchar green\n"
+            "property uchar blue\nend_header\n0 0 0 1 2 3\n".encode("ascii")
+        )
+        if first == "ply":
+            assert len(load_ply(path)) == 1
+        else:
+            with pytest.raises(MalformedHeaderError, match="missing 'ply' magic"):
+                load_ply(path)
+
     def test_truncated_vertex_data(self, tmp_path):
         path = tmp_path / "short.ply"
         write_ascii_ply(path, ["0 0 0 1 2 3"], count=5)

@@ -239,3 +239,38 @@ class TestSolveSpd:
         npt.assert_array_equal(x, cho_solve(factor, b))
         assert not np.shares_memory(low, a)
         npt.assert_array_equal(np.tril(low), np.tril(factor[0]))
+
+
+class TestFieldPosterior:
+    @pytest.mark.parametrize("variance", [False, True])
+    def test_matches_dense_covariance_reference(self, variance):
+        rng = np.random.default_rng(60)
+        gram = build_gram(rng.normal(size=(60, 3)), 0.3)
+        mass = rng.uniform(0.0, 1.0, size=60)
+        mass[rng.choice(60, size=8, replace=False)] = 0.0
+        residual = rng.normal(0.0, 0.2, size=(60, 3))
+        ratio = 12.0
+        field, var = kernel.field_posterior(gram, mass, ratio, residual, variance)
+
+        # Dense reference: lam times the full posterior covariance of the field.
+        g = gram.values
+        sg = np.sqrt(mass)[:, None] * g
+        k = np.eye(60) + ratio * (sg * np.sqrt(mass)[None, :])
+        cov = g - ratio * (sg.T @ np.linalg.solve(k, sg))
+        npt.assert_allclose(field, ratio * (cov @ (mass[:, None] * residual)), rtol=0, atol=1e-10)
+        if variance:
+            npt.assert_allclose(var, np.diag(cov), rtol=0, atol=1e-10)
+        else:
+            assert var is None
+
+    def test_diagonal_gram_closed_form(self):
+        # Oracle: with G = I the posterior decouples per point into the
+        # mean (ratio m / (1 + ratio m)) r and the variance 1 / (1 + ratio m)
+        gram = GramMatrix(np.eye(3))
+        mass = np.array([0.8, 0.0, 2.5])
+        residual = np.array([[0.2, -0.1, 0.05], [-0.3, 0.2, 0.4], [1.0, 0.0, -2.0]])
+        ratio = 0.75
+        field, var = kernel.field_posterior(gram, mass, ratio, residual, variance=True)
+        shrink = ratio * mass / (1.0 + ratio * mass)
+        npt.assert_allclose(field, shrink[:, None] * residual, rtol=0, atol=1e-15)
+        npt.assert_allclose(var, 1.0 / (1.0 + ratio * mass), rtol=0, atol=1e-15)
