@@ -223,31 +223,21 @@ def _outcome(result: RegistrationResult) -> tuple[str, str, int]:
     return "not_converged", "did not converge", 2
 
 
-def _load_input_cloud(
-    path: str, downsample_to: int, seed: int, loaded: dict | None = None
-) -> PointCloud:
-    """Read a PLY file and subsample it.
+def _subsample(cloud: PointCloud, downsample_to: int, seed: int) -> PointCloud:
+    """``cloud`` subsampled to ``downsample_to`` points; 0 keeps every point."""
+    return downsample(cloud, downsample_to, seed) if downsample_to > 0 else cloud
 
-    ``loaded`` maps resolved paths to clouds already read; a file missing
-    from it is read and added, so a batch reads each file once, however
-    its path is spelled.
-    """
-    if loaded is None:
-        loaded = {}
-    key = os.path.realpath(path)
-    if key not in loaded:
-        loaded[key] = load_ply(path)
-    cloud = loaded[key]
-    if downsample_to > 0:
-        cloud = downsample(cloud, downsample_to, seed)
-    return cloud
+
+def _load_input_cloud(path: str, downsample_to: int, seed: int) -> PointCloud:
+    """Read a PLY file and subsample it."""
+    return _subsample(load_ply(path), downsample_to, seed)
 
 
 def cmd_register(args: argparse.Namespace) -> int:
     out = Path(args.out)
     params = _params_from_args(args)
-    source = _load_input_cloud(args.source, args.downsample, args.seed)
-    target = _load_input_cloud(args.target, args.downsample, args.seed)
+    source, target = (_load_input_cloud(path, args.downsample, args.seed)
+                      for path in (args.source, args.target))
     result = register(source, target, params)
     transform = result.transform
     write_csv_rows(
@@ -270,17 +260,12 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 
 def _run_pair(
-    source_path: str,
-    target_path: str,
-    alpha: float,
-    params: RegistrationParams,
-    downsample_to: int,
-    seed: int,
-    loaded: dict | None = None,
+    source: PointCloud, target: PointCloud, alpha: float, params: RegistrationParams
 ) -> tuple[PointCloud, RegistrationResult]:
-    """Full chain for one pair; returns the morph in original target units."""
-    source = _load_input_cloud(source_path, downsample_to, seed, loaded)
-    target = _load_input_cloud(target_path, downsample_to, seed, loaded)
+    """Morph two loaded, subsampled clouds: register the source to the
+    target, move it, blend it with its correspondence targets at ``alpha``,
+    and return the morph in the target's original units with the
+    registration result."""
     result = register(source, target, params)
     aligned = apply_transform(result.source_normalized, result.transform, result.displacement)
     coords, colors = correspondence_targets(result.state, result.target_normalized)
@@ -290,9 +275,9 @@ def _run_pair(
 
 def cmd_morph(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    blended, result = _run_pair(
-        args.source, args.target, args.alpha, params, args.downsample, args.seed
-    )
+    source, target = (_load_input_cloud(path, args.downsample, args.seed)
+                      for path in (args.source, args.target))
+    blended, result = _run_pair(source, target, args.alpha, params)
     target_file = Path(args.out) / f"{blended.id}.ply"
     save_ply(blended, target_file)
     _, said, code = _outcome(result)
@@ -344,7 +329,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                  if os.path.realpath(out / f"{p['morph_id']}.ply") in subjects]
     if clobbered:
         raise ValueError(f"{args.pairs}: morph_id values {clobbered} would overwrite subjects in {out}")
-    # Each subject is read once and dropped after the last valid pair that
+    # ``loaded`` is the batch's one subject cache, keyed by resolved path:
+    # each subject is read once and dropped after the last valid pair that
     # uses it, so only subjects a later pair still needs stay in memory.
     last_use = {}
     for index, (a, b) in enumerate(resolved):
@@ -353,20 +339,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     loaded = {}
     manifest_rows = []
     done = 0
-    for index, (pair, (a, b)) in enumerate(zip(pairs, resolved)):
+    for index, (pair, keys) in enumerate(zip(pairs, resolved)):
         alpha = pair["alpha"] if pair["alpha"] is not None else args.alpha
         row = dict.fromkeys(_MANIFEST_COLUMNS, "")
         row.update(pair, alpha=alpha)
         manifest_rows.append(row)
-        if a == b:
+        if keys[0] == keys[1]:
             row["status"] = "invalid"
             row["detail"] = "subject paths name the same file"
             continue
         try:
-            blended, result = _run_pair(
-                pair["subject_a"], pair["subject_b"], alpha, params,
-                args.downsample, args.seed + index, loaded,
-            )
+            for key, path in zip(keys, (pair["subject_a"], pair["subject_b"])):
+                if key not in loaded:
+                    loaded[key] = load_ply(path)
+            source, target = (_subsample(loaded[key], args.downsample, args.seed + index)
+                              for key in keys)
+            blended, result = _run_pair(source, target, alpha, params)
             save_ply(blended, out / f"{pair['morph_id']}.ply")
             row["status"] = _outcome(result)[0]
             row["iterations"] = result.iterations
@@ -374,9 +362,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except _INPUT_ERRORS as exc:
             row["status"] = "error"
             row["detail"] = str(exc)
-        for path in (a, b):
-            if last_use[path] == index:
-                loaded.pop(path, None)
+        for key in keys:
+            if last_use[key] == index:
+                loaded.pop(key, None)
     write_csv_rows(out / "manifest.csv", _MANIFEST_COLUMNS, [row.values() for row in manifest_rows])
     print(f"generated {done}/{len(pairs)} morphs into {out}")
     return 0

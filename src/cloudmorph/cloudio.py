@@ -99,8 +99,8 @@ class NormalizationRecord:
         c = np.array(self.centroid, dtype=np.float64, copy=True).reshape(3)
         if not np.all(np.isfinite(c)):
             raise ValueError("centroid must be finite")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         c.setflags(write=False)
         object.__setattr__(self, "centroid", c)
         object.__setattr__(self, "scale", float(self.scale))
@@ -110,13 +110,18 @@ def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationRecord]:
     """Center the cloud on its centroid and rescale so the RMS vertex norm is 1.
 
     Colors are untouched. Raises :class:`DegenerateCloudError` when every
-    vertex coincides (the scale would be zero).
+    vertex coincides (the scale would be zero) and when the RMS radius
+    overflows float64 (the scale would be infinite).
     """
-    centroid = cloud.vertices.mean(axis=0)
-    centered = cloud.vertices - centroid
-    scale = float(np.sqrt(np.mean(np.sum(centered * centered, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = cloud.vertices.mean(axis=0)
+        centered = cloud.vertices - centroid
+        scale = float(np.sqrt(np.mean(np.sum(centered * centered, axis=1))))
     if scale == 0.0:
         raise DegenerateCloudError(f"cloud {cloud.id!r} has zero spatial extent")
+    if not np.isfinite(scale):
+        raise DegenerateCloudError(f"cloud {cloud.id!r} is too large to normalize: "
+                                   "its RMS radius overflows float64")
     out = PointCloud(centered / scale, cloud.colors, cloud.id)
     return out, NormalizationRecord(centroid, scale)
 

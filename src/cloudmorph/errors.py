@@ -22,7 +22,8 @@ class IoFailureError(CloudMorphError):
 
 
 class DegenerateCloudError(CloudMorphError):
-    """Cloud has zero spatial extent (all vertices identical)."""
+    """Cloud cannot be normalized: it has zero spatial extent (all vertices
+    identical), or its RMS radius overflows float64."""
 
 
 class NotPositiveDefiniteError(CloudMorphError):

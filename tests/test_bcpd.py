@@ -110,6 +110,11 @@ class TestSimilarityTransform:
         with pytest.raises(ValueError, match="finite"):
             SimilarityTransform(scale, rotation, [0.0, shift, 0.0])
 
+    @pytest.mark.parametrize("shape", [(2, 2), (9,), (3, 4)])
+    def test_rotation_must_be_3x3(self, shape):
+        with pytest.raises(ValueError, match="rotation must be 3x3"):
+            SimilarityTransform(1.0, np.ones(shape), np.zeros(3))
+
     def test_apply(self):
         rot = Rotation.from_euler("z", 90, degrees=True).as_matrix()
         tr = SimilarityTransform(2.0, rot, [1.0, 0.0, 0.0])
@@ -924,6 +929,15 @@ class TestUpdateSimilarity:
         state = replace(init_state(problem), source_mass=np.zeros(10))
         with pytest.raises(DegenerateGeometryError):
             update_similarity(state, problem)
+
+    def test_targets_at_one_point_give_no_positive_scale(self):
+        # the weighted fit of the source onto a single point has scale 0
+        source = make_cloud(12, seed=28)
+        params = RegistrationParams()
+        state = exact_correspondence_state(source, source.vertices, params)
+        state = replace(state, matched_targets=np.zeros((12, 3)))
+        with pytest.raises(DegenerateGeometryError, match="scale is not positive"):
+            update_similarity(state, build_problem(source, source, params))
 
     def test_one_point_source_raises(self):
         source = cloud_of([[0.1, 0.2, 0.3]])

@@ -3,6 +3,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,43 @@ class TestPipelineCommand:
         written = sorted(p.name for p in tmp_path.rglob("*.ply"))
         assert written == ["a.ply", "b.ply", "c.ply", "d.ply"]
         assert not (out / "manifest.csv").exists()
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_row_with_empty_field_names_row(self, empty, cloud_files, tmp_path, capsys):
+        fields = [str(cloud_files["a"]), str(cloud_files["b"]), "morph_ab"]
+        fields[empty] = ""
+        pairs = self.write_pairs(tmp_path, cloud_files, [",".join(fields)])
+        out = tmp_path / "x"
+        assert cli.main(["pipeline", str(pairs), "--out", str(out)]) == 1
+        assert f"{pairs}: row 2: incomplete pairing row" in capsys.readouterr().err
+        assert not (out / "manifest.csv").exists()
+
+    # a double-precision subject whose RMS radius overflows float64, as the
+    # source and as the target
+    @pytest.mark.parametrize("huge_first", [True, False])
+    def test_overflowing_subject_recorded_others_proceed(self, huge_first, cloud_files,
+                                                         tmp_path):
+        huge = tmp_path / "huge.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 300\n"
+                  "property double x\nproperty double y\nproperty double z\n"
+                  "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n")
+        body = np.zeros(300, dtype=[("xyz", "<f8", 3), ("rgb", "u1", 3)])
+        body["xyz"] = np.random.default_rng(3).normal(size=(300, 3)) * 1e200
+        huge.write_bytes(header.encode("ascii") + body.tobytes())
+        pair = [str(huge), str(cloud_files["b"])]
+        rows = [",".join([*(pair if huge_first else pair[::-1]), "morph_huge"]),
+                f"{cloud_files['c']},{cloud_files['d']},morph_cd"]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        out = tmp_path / "batch"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["pipeline", str(pairs), "--out", str(out), "--downsample", "50"])
+        assert code == 0
+        with (out / "manifest.csv").open() as handle:
+            manifest = {row["morph_id"]: row for row in csv.DictReader(handle)}
+        assert manifest["morph_huge"]["status"] == "error"
+        assert manifest["morph_huge"]["detail"].startswith("cloud 'huge' is too large to normalize")
+        assert manifest["morph_cd"]["status"] == "converged"
 
     def test_missing_column_names_it(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
@@ -573,7 +611,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "line,named",
         [("sigma_correction=maybe", "'maybe'"), ("max_iters=1.5", "'1.5'"),
-         ("config=x", "'config'"), ("help=1", "'help'")],
+         ("config=x", "'config'"), ("help=1", "'help'"),
+         ("beta 0.5", "line 1: expected key=value, got 'beta 0.5'")],
     )
     def test_bad_value_or_key_exits_1(self, line, named, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -42,7 +42,67 @@ def write_ascii_ply(path, rows, extra_header=(), count=None):
     path.write_text("\n".join(header + list(rows)) + "\n")
 
 
+def vertex_props(**types):
+    """The six vertex property lines: float x y z and uchar red green blue,
+    unless ``types`` gives a property another type, or None to drop it."""
+    declared = dict.fromkeys(("x", "y", "z"), "float")
+    declared.update(dict.fromkeys(("red", "green", "blue"), "uchar"), **types)
+    return [f"property {kind} {name}" for name, kind in declared.items() if kind]
+
+
+ROW = b"0 0 0 1 2 3\n"
+ASCII_HEADER = ["format ascii 1.0", "element vertex 1", *vertex_props()]
+
+# header lines between "ply" and "end_header", body, error, message after "{path}: "
+READER_ERRORS = {
+    # the blank line is skipped, so the read gets as far as the vertex rows
+    "blank-header-line": (
+        ["format ascii 1.0", "", "element vertex 2", *vertex_props()], ROW,
+        MalformedHeaderError, "expected 2 vertex rows, found 1"),
+    "non-integer-count": (
+        ["format ascii 1.0", "element vertex two", *vertex_props()], ROW,
+        MalformedHeaderError, "bad element count in 'element vertex two'"),
+    "property-before-element": (
+        ["format ascii 1.0", "property float w", "element vertex 1", *vertex_props()], ROW,
+        MalformedHeaderError, "property before any element"),
+    "unrecognized-line": (
+        [*ASCII_HEADER, "texture skin.png"], ROW,
+        MalformedHeaderError, "unrecognized header line 'texture skin.png'"),
+    "no-format-line": (
+        ["element vertex 1", *vertex_props()], ROW,
+        MalformedHeaderError, "missing format line"),
+    "list-in-vertex": (
+        [*ASCII_HEADER, "property list uchar int vertex_indices"], ROW,
+        MalformedHeaderError, "list property in vertex element"),
+    "missing-axis": (
+        ["format ascii 1.0", "element vertex 1", *vertex_props(y=None)], b"0 0 1 2 3\n",
+        MissingPropertyError, "vertex element has no 'y' property"),
+    "integer-coordinate": (
+        ["format ascii 1.0", "element vertex 1", *vertex_props(z="int")], ROW,
+        MalformedHeaderError, "coordinate property 'z' must be float or double"),
+    "16-bit-color": (
+        ["format ascii 1.0", "element vertex 1", *vertex_props(green="ushort")], ROW,
+        MalformedHeaderError, "color property 'green' must be 8-bit (uchar)"),
+    "extra-column": (
+        ASCII_HEADER, b"0 0 0 1 2 3 4\n",
+        MalformedHeaderError, "vertex rows have 7 columns, header declares 6 properties"),
+    "binary-list-element-first": (
+        ["format binary_little_endian 1.0", "element face 1",
+         "property list uchar int vertex_indices", "element vertex 1", *vertex_props()],
+        struct.pack("<B3i", 3, 0, 1, 2) + struct.pack("<3f3B", 0.0, 0.0, 0.0, 1, 2, 3),
+        MalformedHeaderError, "cannot skip list-typed element 'face' before vertices"),
+    "color-above-255": (
+        ASCII_HEADER, b"0 0 0 1 256 3\n",
+        MalformedHeaderError, "color value outside the 8-bit range"),
+}
+
+
 class TestPointCloud:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 3, 1)])
+    def test_vertices_must_be_n_by_3(self, shape):
+        with pytest.raises(ValueError, match=r"vertices must have shape \(N, 3\)"):
+            PointCloud(np.zeros(shape), np.zeros(shape))
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((2, 3)), np.zeros((3, 3)))
@@ -441,6 +501,16 @@ class TestPly:
         with pytest.raises(NonFiniteCoordinateError):
             load_ply(path)
 
+    @pytest.mark.parametrize(
+        "header, body, error, message", list(READER_ERRORS.values()), ids=list(READER_ERRORS)
+    )
+    def test_reader_error_names_file(self, tmp_path, header, body, error, message):
+        path = tmp_path / "bad.ply"
+        path.write_bytes("\n".join(["ply", *header, "end_header\n"]).encode("ascii") + body)
+        with pytest.raises(error) as err:
+            load_ply(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.ply"
         with pytest.raises(OSError) as err:
@@ -496,6 +566,25 @@ class TestNormalize:
     def test_record_validation(self):
         with pytest.raises(ValueError):
             NormalizationRecord([0, 0, 0], 0.0)
+
+    @pytest.mark.parametrize(
+        "centroid, scale",
+        [([np.nan, 0, 0], 1.0), ([0, -np.inf, 0], 1.0), ([0, 0, 0], np.inf), ([0, 0, 0], np.nan)],
+        ids=["nan-centroid", "inf-centroid", "inf-scale", "nan-scale"],
+    )
+    def test_record_must_be_finite(self, centroid, scale):
+        with pytest.raises(ValueError, match="must be .*finite"):
+            NormalizationRecord(centroid, scale)
+
+    # the squared radius overflows at 1e200; at 1e308 the centroid's sum does too
+    @pytest.mark.parametrize("size", [1e200, 1e308])
+    def test_radius_overflow_is_degenerate(self, size):
+        verts = [[size, size, 0.0], [size, -size, 0.0], [-size, 0.0, size]]
+        cloud = PointCloud(verts, np.zeros((3, 3)), "huge")
+        with warnings.catch_warnings(), pytest.raises(DegenerateCloudError) as err:
+            warnings.simplefilter("error")
+            normalize(cloud)
+        assert str(err.value).startswith("cloud 'huge' is too large to normalize")
 
 
 class TestDownsample:

@@ -110,6 +110,11 @@ class TestBuildGram:
         with pytest.raises(ValueError, match="unit diagonal"):
             GramMatrix(values)
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5,), (0, 3)])
+    def test_points_must_be_m_by_3(self, shape):
+        with pytest.raises(ValueError, match=r"points must have shape \(M, 3\)"):
+            build_gram(np.zeros(shape), beta=0.3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         points = [[bad, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
@@ -134,6 +139,11 @@ class TestBuildGram:
         mine[0, 1] = mine[1, 0] = 0.25
         npt.assert_array_equal(gram.values, values)
         assert not gram.values.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_gram_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="Gram matrix must be square"):
+            GramMatrix(np.ones(shape))
 
     def test_invariants_validated(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
@@ -167,6 +177,16 @@ class TestSolveSpd:
             x, _ = solve_spd(a.copy(), b)
             residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
             assert residual <= 1e-8
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, message",
+        [((3, 4), (3, 1), "A must be square"), ((3,), (3, 1), "A must be square"),
+         ((3, 3), (4, 2), "B has 4 rows, A is 3x3")],
+        ids=["wide-A", "vector-A", "B-rows"],
+    )
+    def test_shapes_must_agree(self, a_shape, b_shape, message):
+        with pytest.raises(ValueError, match=message):
+            solve_spd(np.ones(a_shape), np.ones(b_shape))
 
     def test_singular_psd_raises(self):
         # A is never regularized: a PSD matrix of rank 1 is not solved

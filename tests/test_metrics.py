@@ -153,6 +153,19 @@ class TestThresholdAtFmr:
         with pytest.raises(EmptyScoresError):
             threshold_at_fmr([], 0.1)
 
+    @pytest.mark.parametrize("fmr", [0.0, 1.0, -0.5, float("nan")])
+    def test_fmr_outside_unit_interval(self, fmr):
+        with pytest.raises(ValueError, match=r"fmr_target must lie in \(0, 1\)"):
+            FrsThreshold("frs1", 0.5, fmr)
+        # the rate is checked before the scores are, so it is the error named
+        with pytest.raises(ValueError, match=r"fmr_target must lie in \(0, 1\)"):
+            threshold_at_fmr([0.1, float("nan"), 0.3], fmr)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score(self, bad):
+        with pytest.raises(ValueError, match="non-mated scores must be finite"):
+            threshold_at_fmr([0.1, bad, 0.3], 0.5)
+
     def test_small_sample_warns(self):
         with pytest.warns(UserWarning):
             threshold_at_fmr([0.1, 0.2, 0.3], 0.001)
@@ -315,6 +328,17 @@ class TestGmapMamf:
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
         assert gmap_mamf(records, thresholds) == pytest.approx(50.0, abs=1e-12)
+
+    def test_rejects_multiple_types(self):
+        records = [
+            record("A", "frs1", 1, 0.9, 0.8, morph_type="x"),
+            record("A", "frs2", 1, 0.9, 0.8, morph_type="x"),
+            record("B", "frs1", 1, 0.9, 0.8, morph_type="y"),
+            record("B", "frs2", 1, 0.9, 0.8, morph_type="y"),
+        ]
+        thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
+        with pytest.raises(ValueError, match="expected a single morph type"):
+            gmap_mamf(records, thresholds)
 
     def test_requires_two_systems(self):
         records = [record("A", "frs1", 1, 0.9, 0.9)]
@@ -605,6 +629,19 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError) as err:
             read_scores_csv(path)
         assert "morph_type" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "reader, header, message",
+        [(read_scores_csv, "morph_id,morph_type,frs_id,attempt,score_s1,score_s2", "no score rows"),
+         (read_nonmated_csv, "frs_id,score", "no non-mated rows")],
+        ids=["scores", "nonmated"],
+    )
+    def test_header_only_file_is_empty(self, reader, header, message, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(EmptyScoresError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_nonmated_reader(self, tmp_path):
         path = tmp_path / "nm.csv"
