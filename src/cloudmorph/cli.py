@@ -64,7 +64,9 @@ def _parse_bool(text: str) -> bool:
 
 def _config_keys(subparsers: dict) -> dict:
     """Config key -> argparse action, for every long flag of every
-    subcommand except ``--help`` and ``--config``."""
+    subcommand except ``--help`` and ``--config``. A flag that several
+    subcommands define maps to the first one's action, so such a flag must
+    have the same type and default on each."""
     keys = {}
     for subparser in subparsers.values():
         for action in subparser._actions:
@@ -143,18 +145,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_register = subparsers.add_parser(
         "register", formatter_class=formatter,
         help="align a source cloud to a target cloud")
-    p_register.add_argument("source", help="source PLY file")
-    p_register.add_argument("target", help="target PLY file")
-    _add_registration_flags(p_register)
 
     p_morph = subparsers.add_parser(
         "morph", formatter_class=formatter,
         help="register one pair and save the blended morph")
-    p_morph.add_argument("source", help="source PLY file")
-    p_morph.add_argument("target", help="target PLY file")
     p_morph.add_argument("--alpha", type=float, default=0.5,
                          help="source blend weight in [0, 1]")
-    _add_registration_flags(p_morph)
 
     p_pipeline = subparsers.add_parser(
         "pipeline", formatter_class=formatter,
@@ -162,7 +158,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_pipeline.add_argument("pairs", help="CSV pairing list: subject_a,subject_b,morph_id[,alpha]")
     p_pipeline.add_argument("--alpha", type=float, default=0.5,
                             help="source blend weight, unless a pair overrides it")
-    _add_registration_flags(p_pipeline)
+
+    for subparser in (p_register, p_morph):
+        subparser.add_argument("source", help="source PLY file")
+        subparser.add_argument("target", help="target PLY file")
+    for subparser in (p_register, p_morph, p_pipeline):
+        _add_registration_flags(subparser)
 
     p_eval = subparsers.add_parser(
         "eval", formatter_class=formatter,
@@ -171,16 +172,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_eval.add_argument("nonmated", help="non-mated score CSV: frs_id,score")
     p_eval.add_argument("--ftar", type=str, default=None,
                         help="failure-to-acquire CSV: frs_id,attempt,ftar (default: all zero)")
-    p_eval.add_argument("--fmr", type=float, default=0.001,
-                        help="false-match-rate target for thresholds")
 
     p_quadrants = subparsers.add_parser(
         "quadrants", formatter_class=formatter,
         help="export the per-record quadrant scatter")
     p_quadrants.add_argument("scores", help="score CSV")
     p_quadrants.add_argument("nonmated", help="non-mated score CSV")
-    p_quadrants.add_argument("--fmr", type=float, default=0.001,
-                             help="false-match-rate target for thresholds")
+
+    for subparser in (p_eval, p_quadrants):
+        subparser.add_argument("--fmr", type=float, default=0.001,
+                               help="false-match-rate target for thresholds")
 
     # added last, so they close every subcommand's --help
     for subparser in subparsers.choices.values():
@@ -228,15 +229,10 @@ def _subsample(cloud: PointCloud, downsample_to: int, seed: int) -> PointCloud:
     return downsample(cloud, downsample_to, seed) if downsample_to > 0 else cloud
 
 
-def _load_input_cloud(path: str, downsample_to: int, seed: int) -> PointCloud:
-    """Read a PLY file and subsample it."""
-    return _subsample(load_ply(path), downsample_to, seed)
-
-
 def cmd_register(args: argparse.Namespace) -> int:
     out = Path(args.out)
     params = _params_from_args(args)
-    source, target = (_load_input_cloud(path, args.downsample, args.seed)
+    source, target = (_subsample(load_ply(path), args.downsample, args.seed)
                       for path in (args.source, args.target))
     result = register(source, target, params)
     transform = result.transform
@@ -275,7 +271,7 @@ def _run_pair(
 
 def cmd_morph(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    source, target = (_load_input_cloud(path, args.downsample, args.seed)
+    source, target = (_subsample(load_ply(path), args.downsample, args.seed)
                       for path in (args.source, args.target))
     blended, result = _run_pair(source, target, args.alpha, params)
     target_file = Path(args.out) / f"{blended.id}.ply"
@@ -329,9 +325,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                  if os.path.realpath(out / f"{p['morph_id']}.ply") in subjects]
     if clobbered:
         raise ValueError(f"{args.pairs}: morph_id values {clobbered} would overwrite subjects in {out}")
-    # ``loaded`` is the batch's one subject cache, keyed by resolved path:
-    # each subject is read once and dropped after the last valid pair that
-    # uses it, so only subjects a later pair still needs stay in memory.
+    # ``loaded`` is the batch's one subject cache, keyed by resolved path.
+    # It holds each subject's outcome: the cloud, or the input error its read
+    # raised, so every row naming a bad subject records the same detail. Each
+    # subject is read once and dropped after the last valid pair that uses
+    # it, so only subjects a later pair still needs stay in memory.
     last_use = {}
     for index, (a, b) in enumerate(resolved):
         if a != b:
@@ -351,7 +349,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         try:
             for key, path in zip(keys, (pair["subject_a"], pair["subject_b"])):
                 if key not in loaded:
-                    loaded[key] = load_ply(path)
+                    try:
+                        loaded[key] = load_ply(path)
+                    except _INPUT_ERRORS as exc:
+                        # the reader's frames would keep the file's bytes alive
+                        loaded[key] = exc.with_traceback(None)
+                if isinstance(loaded[key], Exception):
+                    raise loaded[key]
             source, target = (_subsample(loaded[key], args.downsample, args.seed + index)
                               for key in keys)
             blended, result = _run_pair(source, target, alpha, params)
@@ -427,17 +431,12 @@ def main(argv=None) -> int:
     prescan = argparse.ArgumentParser(add_help=False)
     prescan.add_argument("--config", type=str, default=None)
     known, _ = prescan.parse_known_args(argv)
-    if known.config:
-        try:
-            defaults = load_config(known.config, subparsers)
-        except _INPUT_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for subparser in subparsers.values():
-            subparser.set_defaults(**defaults)
-
-    args = parser.parse_args(argv)
     try:
+        if known.config:
+            defaults = load_config(known.config, subparsers)
+            for subparser in subparsers.values():
+                subparser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:

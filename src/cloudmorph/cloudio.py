@@ -110,15 +110,20 @@ def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationRecord]:
     """Center the cloud on its centroid and rescale so the RMS vertex norm is 1.
 
     Colors are untouched. Raises :class:`DegenerateCloudError` when every
-    vertex coincides (the scale would be zero) and when the RMS radius
-    overflows float64 (the scale would be infinite).
+    vertex equals the first, checked exactly before any arithmetic, and
+    when the cloud's points are distinct but its RMS radius underflows
+    float64 (the scale would be zero) or overflows it (the scale would be
+    infinite).
     """
+    if (cloud.vertices == cloud.vertices[0]).all():
+        raise DegenerateCloudError(f"cloud {cloud.id!r} has zero spatial extent")
     with np.errstate(over="ignore", invalid="ignore"):
         centroid = cloud.vertices.mean(axis=0)
         centered = cloud.vertices - centroid
         scale = float(np.sqrt(np.mean(np.sum(centered * centered, axis=1))))
     if scale == 0.0:
-        raise DegenerateCloudError(f"cloud {cloud.id!r} has zero spatial extent")
+        raise DegenerateCloudError(f"cloud {cloud.id!r} is too small to normalize: "
+                                   "its RMS radius underflows float64")
     if not np.isfinite(scale):
         raise DegenerateCloudError(f"cloud {cloud.id!r} is too large to normalize: "
                                    "its RMS radius overflows float64")

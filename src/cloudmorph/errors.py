@@ -22,8 +22,9 @@ class IoFailureError(CloudMorphError):
 
 
 class DegenerateCloudError(CloudMorphError):
-    """Cloud cannot be normalized: it has zero spatial extent (all vertices
-    identical), or its RMS radius overflows float64."""
+    """Cloud cannot be normalized: it has zero spatial extent (every vertex
+    equals the first), or its points are distinct but its RMS radius
+    underflows or overflows float64."""
 
 
 class NotPositiveDefiniteError(CloudMorphError):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudmorph import RegistrationParams, cli, downsample, load_ply, metrics, register, save_ply
+from cloudmorph import (
+    PointCloud, RegistrationParams, cli, downsample, load_ply, metrics, register, save_ply,
+)
 from conftest import make_cloud
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -301,6 +303,53 @@ class TestPipelineCommand:
         assert manifest["morph_huge"]["detail"].startswith("cloud 'huge' is too large to normalize")
         assert manifest["morph_cd"]["status"] == "converged"
 
+    # every vertex at one point; the centroid does not round back to it
+    @pytest.mark.parametrize("flat_first", [True, False], ids=["source", "target"])
+    def test_coincident_subject_recorded_others_proceed(self, flat_first, cloud_files,
+                                                         tmp_path):
+        flat = tmp_path / "flat.ply"
+        save_ply(PointCloud(np.tile([10.1, 20.2, 30.3], (50, 1)), np.zeros((50, 3))), flat)
+        pair = [str(flat), str(cloud_files["b"])]
+        rows = [",".join([*(pair if flat_first else pair[::-1]), "morph_flat"]),
+                f"{cloud_files['c']},{cloud_files['d']},morph_cd"]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        out = tmp_path / "batch"
+        assert cli.main(["pipeline", str(pairs), "--out", str(out), "--downsample", "50"]) == 0
+        with (out / "manifest.csv").open() as handle:
+            manifest = {row["morph_id"]: row for row in csv.DictReader(handle)}
+        assert manifest["morph_flat"]["status"] == "error"
+        assert manifest["morph_flat"]["detail"] == "cloud 'flat' has zero spatial extent"
+        assert not (out / "morph_flat.ply").exists()
+        assert manifest["morph_cd"]["status"] == "converged"
+
+    def test_subject_that_fails_to_load_is_read_once(self, cloud_files, tmp_path,
+                                                     monkeypatch):
+        bad = tmp_path / "wide.ply"
+        bad.write_bytes(cloud_files["a"].read_bytes().replace(
+            b"property uchar red", b"property ushort red", 1))
+        b, c, d = (str(cloud_files[k]) for k in "bcd")
+        rows = [f"{bad},{b},m0", f"{c},{bad},m1", f"{c},{d},m2", f"{bad},{d},m3"]
+        pairs = self.write_pairs(tmp_path, cloud_files, rows)
+        loads = []
+
+        def counting_load_ply(path):
+            loads.append(Path(path).name)
+            return load_ply(path)
+
+        monkeypatch.setattr(cli, "load_ply", counting_load_ply)
+        out = tmp_path / "batch"
+        code = cli.main(["pipeline", str(pairs), "--out", str(out), "--downsample", "50",
+                         "--max-iters", "2"])
+        assert code == 0
+        assert loads.count("wide.ply") == 1
+        with (out / "manifest.csv").open() as handle:
+            manifest = list(csv.DictReader(handle))
+        errors = [row for row in manifest if row["status"] == "error"]
+        assert [row["morph_id"] for row in errors] == ["m0", "m1", "m3"]
+        assert errors[0]["detail"].startswith(str(bad))
+        assert len({row["detail"] for row in errors}) == 1
+        assert manifest[2]["status"] != "error"
+
     def test_missing_column_names_it(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("subject_a,subject_b,alpha\na.ply,b.ply,0.5\n")
@@ -546,6 +595,55 @@ class TestConfigAndHelp:
         )
         assert result.returncode == 1
         assert "betta" in result.stderr
+
+
+class TestConfigErrorExit:
+    """A config error leaves through main's one input-error exit, before
+    the output directory is made."""
+
+    ARGV = {"register": ["register", "s.ply", "t.ply"],
+            "eval": ["eval", "scores.csv", "nonmated.csv"]}
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_missing_config_file(self, command, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        out = tmp_path / "o"
+        code = cli.main(self.ARGV[command] + ["--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(config) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_unknown_config_key(self, command, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("fmrr=0.01\n")
+        out = tmp_path / "o"
+        code = cli.main(self.ARGV[command] + ["--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: line 1: unknown config key 'fmrr'\n"
+        assert not out.exists()
+
+
+def test_shared_flags_agree():
+    """A long flag that several subcommands define parses alike on each, so
+    a config key means the same whichever subcommand's action reads it."""
+    shared = {}
+    for subparser in cli.build_parser()[1].values():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--"):
+                    shared.setdefault(flag, []).append(action)
+    shared = {flag: actions for flag, actions in shared.items() if len(actions) > 1}
+    registration = {"--beta", "--lambda", "--omega", "--gamma", "--kappa", "--tol",
+                    "--max-iters", "--sigma-correction", "--downsample", "--seed"}
+    assert set(shared) == {"--help", "--alpha", "--fmr", "--out", "--config"} | registration
+    for flag, actions in shared.items():
+        first = actions[0]
+        for action in actions[1:]:
+            assert (action.type, action.default, type(action)) == \
+                (first.type, first.default, type(first)), flag
 
 
 def parsed_args(argv, monkeypatch):

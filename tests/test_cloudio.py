@@ -586,6 +586,26 @@ class TestNormalize:
             normalize(cloud)
         assert str(err.value).startswith("cloud 'huge' is too large to normalize")
 
+    # the centroid of copies of 0.1 rounds away from 0.1, so before the exact
+    # check these clouds normalized to a "unit" cloud of rounding noise
+    @pytest.mark.parametrize("point, count", [([0.1, 0.2, 0.3], 3), ([10.1, 20.2, 30.3], 50)])
+    def test_identical_points_have_zero_extent(self, point, count):
+        cloud = PointCloud(np.tile(point, (count, 1)), np.zeros((count, 3)), "flat")
+        with pytest.raises(DegenerateCloudError) as err:
+            normalize(cloud)
+        assert str(err.value) == "cloud 'flat' has zero spatial extent"
+
+    # distinct points whose squared radius underflows to 0
+    @pytest.mark.parametrize("size", [1e-162, 1e-170])
+    def test_radius_underflow_is_too_small(self, size):
+        verts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]) * size
+        cloud = PointCloud(verts, np.zeros((3, 3)), "tiny")
+        with warnings.catch_warnings(), pytest.raises(DegenerateCloudError) as err:
+            warnings.simplefilter("error")
+            normalize(cloud)
+        assert str(err.value) == ("cloud 'tiny' is too small to normalize: "
+                                  "its RMS radius underflows float64")
+
 
 class TestDownsample:
     def test_identity_when_target_at_least_size(self, small_cloud):
