@@ -8,16 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cloudmorph import (
-    MorphConfig,
-    PointCloud,
-    apply_transform,
-    correspondence_targets,
-    denormalize,
-    morph,
-    register,
-    save_ply,
-)
+from cloudmorph import PointCloud, morph_registration, register, save_ply
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -45,13 +36,11 @@ print(f"subject A: {len(subject_a)} points, subject B: {len(subject_b)} points")
 result = register(subject_a, subject_b)
 print(f"registration converged: {result.converged} in {result.iterations} iterations")
 
-aligned = apply_transform(result.source_normalized, result.transform, result.displacement)
-coords, colors = correspondence_targets(result.state, result.target_normalized)
-save_ply(denormalize(aligned, result.target_record), out_dir / "morph_aligned_a.ply")
+save_ply(result.aligned_source(), out_dir / "morph_aligned_a.ply")
 
+# one registration serves every blend weight
 for alpha in (0.25, 0.5, 0.75):
-    blended = morph(aligned, coords, colors, MorphConfig(alpha), target_id=subject_b.id)
-    blended = denormalize(blended, result.target_record)
+    blended = morph_registration(result, alpha)
     path = out_dir / f"{blended.id}.ply"
     save_ply(blended, path)
     print(f"alpha={alpha}: wrote {path.name} ({len(blended)} points)")

@@ -25,8 +25,8 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from .bcpd import RegistrationParams, RegistrationResult, apply_transform, register
-from .cloudio import PointCloud, denormalize, downsample, load_ply, save_ply
+from .bcpd import RegistrationParams, RegistrationResult, register
+from .cloudio import PointCloud, downsample, load_ply, save_ply
 from .errors import CloudMorphError
 from .metrics import (
     FtarTable,
@@ -42,7 +42,7 @@ from .metrics import (
     write_report_csv,
     write_scatter_csv,
 )
-from .morpher import MorphConfig, correspondence_targets, morph
+from .morpher import morph_registration
 
 _DEFAULTS = RegistrationParams()
 # What bad input raises: each is reported as "error: ..." with exit code 1,
@@ -229,12 +229,18 @@ def _subsample(cloud: PointCloud, downsample_to: int, seed: int) -> PointCloud:
     return downsample(cloud, downsample_to, seed) if downsample_to > 0 else cloud
 
 
-def cmd_register(args: argparse.Namespace) -> int:
-    out = Path(args.out)
+def _register_pair(args: argparse.Namespace) -> RegistrationResult:
+    """``args.source`` registered onto ``args.target``, each read and
+    subsampled; the parameters are checked before either file is read."""
     params = _params_from_args(args)
     source, target = (_subsample(load_ply(path), args.downsample, args.seed)
                       for path in (args.source, args.target))
-    result = register(source, target, params)
+    return register(source, target, params)
+
+
+def cmd_register(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    result = _register_pair(args)
     transform = result.transform
     write_csv_rows(
         out / "transform.csv",
@@ -255,25 +261,9 @@ def cmd_register(args: argparse.Namespace) -> int:
     return code
 
 
-def _run_pair(
-    source: PointCloud, target: PointCloud, alpha: float, params: RegistrationParams
-) -> tuple[PointCloud, RegistrationResult]:
-    """Morph two loaded, subsampled clouds: register the source to the
-    target, move it, blend it with its correspondence targets at ``alpha``,
-    and return the morph in the target's original units with the
-    registration result."""
-    result = register(source, target, params)
-    aligned = apply_transform(result.source_normalized, result.transform, result.displacement)
-    coords, colors = correspondence_targets(result.state, result.target_normalized)
-    blended = morph(aligned, coords, colors, MorphConfig(alpha), target_id=target.id)
-    return denormalize(blended, result.target_record), result
-
-
 def cmd_morph(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
-    source, target = (_subsample(load_ply(path), args.downsample, args.seed)
-                      for path in (args.source, args.target))
-    blended, result = _run_pair(source, target, args.alpha, params)
+    result = _register_pair(args)
+    blended = morph_registration(result, args.alpha)
     target_file = Path(args.out) / f"{blended.id}.ply"
     save_ply(blended, target_file)
     _, said, code = _outcome(result)
@@ -358,8 +348,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                     raise loaded[key]
             source, target = (_subsample(loaded[key], args.downsample, args.seed + index)
                               for key in keys)
-            blended, result = _run_pair(source, target, alpha, params)
-            save_ply(blended, out / f"{pair['morph_id']}.ply")
+            result = register(source, target, params)
+            save_ply(morph_registration(result, alpha), out / f"{pair['morph_id']}.ply")
             row["status"] = _outcome(result)[0]
             row["iterations"] = result.iterations
             done += 1

@@ -6,6 +6,10 @@ target side (the match-probability-weighted means the E-step accumulates,
 ``matched_targets`` and ``matched_colors``), and geometry and color are
 blended with the same weight. This keeps the blend well-defined even when
 the two clouds have different point counts.
+
+:func:`morph_registration` is the one home of the whole recipe: aligned
+source, correspondence targets, blend, and back to the target's original
+units. The three stages stay public for callers that assemble it by hand.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bcpd import MASS_EPS, RegistrationState, apply_transform
-from .cloudio import PointCloud
+from .bcpd import MASS_EPS, RegistrationResult, RegistrationState, apply_transform
+from .cloudio import PointCloud, denormalize
 from .errors import ShapeMismatchError
 from .kernel import nearest_rows
 
@@ -90,3 +94,15 @@ def morph(
     verts = a * pst1.vertices + (1.0 - a) * coords
     cols = np.clip(a * pst1.colors + (1.0 - a) * colors, 0.0, 1.0)
     return PointCloud(verts, cols, f"morph_{pst1.id}_{target_id}_{a:g}")
+
+
+def morph_registration(result: RegistrationResult, alpha: float) -> PointCloud:
+    """The morph of a finished registration, in the target's original units.
+
+    The aligned source is blended at ``alpha`` with its correspondence
+    targets, then mapped back with the target's normalization record.
+    """
+    aligned = aligned_colored_source(result.source_normalized, result.transform, result.displacement)
+    coords, colors = correspondence_targets(result.state, result.target_normalized)
+    blended = morph(aligned, coords, colors, MorphConfig(alpha), target_id=result.target_normalized.id)
+    return denormalize(blended, result.target_record)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cloudmorph import (
-    PointCloud, RegistrationParams, cli, downsample, load_ply, metrics, register, save_ply,
+    PointCloud, RegistrationParams, cli, downsample, load_ply, metrics, morph_registration,
+    register, save_ply,
 )
 from conftest import make_cloud
 
@@ -117,6 +118,20 @@ class TestMorphCommand:
         assert produced[0].name == "morph_a_b_0.5.ply"
         cloud = load_ply(produced[0])
         assert len(cloud) == 50
+
+    def test_output_is_the_library_call(self, cloud_files, tmp_path):
+        out = tmp_path / "m"
+        code = cli.main(["morph", str(cloud_files["a"]), str(cloud_files["b"]),
+                         "--out", str(out), "--downsample", "50", "--seed", "4",
+                         "--alpha", "0.3", "--max-iters", "40"])
+        assert code in (0, 2)
+        source, target = (downsample(load_ply(cloud_files[k]), 50, 4) for k in "ab")
+        result = register(source, target, RegistrationParams(max_iters=40))
+        expected = tmp_path / "expected.ply"
+        save_ply(morph_registration(result, 0.3), expected)
+        (produced,) = out.glob("*.ply")
+        assert produced.name == "morph_a_b_0.3.ply"
+        assert produced.read_bytes() == expected.read_bytes()
 
 
 class TestPipelineCommand:
@@ -402,6 +417,23 @@ class TestPipelineCommand:
             assert result.returncode == 0, result.stderr
         for name in ("morph_ab.ply", "morph_cd.ply", "manifest.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_morphs_are_the_library_call(self, cloud_files, tmp_path):
+        # row 0 takes --alpha, row 1 its own alpha; row i subsamples with --seed + i
+        pairs = self.write_pairs(tmp_path, cloud_files)
+        out = tmp_path / "batch"
+        code = cli.main(["pipeline", str(pairs), "--out", str(out), "--downsample", "50",
+                         "--seed", "5", "--alpha", "0.7", "--max-iters", "40"])
+        assert code == 0
+        params = RegistrationParams(max_iters=40)
+        for index, (a, b, morph_id, alpha) in enumerate(
+            [("a", "b", "morph_ab", 0.7), ("c", "d", "morph_cd", 0.4)]
+        ):
+            source, target = (downsample(load_ply(cloud_files[k]), 50, 5 + index)
+                              for k in (a, b))
+            expected = tmp_path / f"expected_{morph_id}.ply"
+            save_ply(morph_registration(register(source, target, params), alpha), expected)
+            assert (out / f"{morph_id}.ply").read_bytes() == expected.read_bytes()
 
     def test_each_subject_loaded_once(self, cloud_files, tmp_path, monkeypatch):
         a, b, c, d = (str(cloud_files[k]) for k in "abcd")

@@ -18,10 +18,13 @@ from cloudmorph import (
     apply_transform,
     correspondence_targets,
     build_problem,
+    denormalize,
     init_state,
     morph,
+    morph_registration,
     register,
 )
+from cloudmorph.bcpd import MASS_EPS
 from cloudmorph.errors import ShapeMismatchError
 from cloudmorph.kernel import squared_distances
 from conftest import make_cloud
@@ -254,6 +257,51 @@ class TestEndToEndMorph:
         expected = 0.5 * aligned.vertices + 0.5 * coords
         npt.assert_array_equal(blended.vertices, expected)
         assert blended.id == "morph_s1_s2_0.5"
+
+
+def primitive_chain(result, alpha):
+    """The morph of ``result`` assembled by hand from the public stages."""
+    aligned = aligned_colored_source(
+        result.source_normalized, result.transform, result.displacement
+    )
+    coords, colors = correspondence_targets(result.state, result.target_normalized)
+    blended = morph(aligned, coords, colors, MorphConfig(alpha),
+                    target_id=result.target_normalized.id)
+    return denormalize(blended, result.target_record)
+
+
+def assert_same_cloud(actual, expected):
+    npt.assert_array_equal(actual.vertices, expected.vertices)
+    npt.assert_array_equal(actual.colors, expected.colors)
+    assert actual.id == expected.id
+
+
+class TestMorphRegistration:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_equals_primitive_chain(self, alpha):
+        source = make_cloud(120, seed=38, cloud_id="s1")
+        target = make_cloud(140, seed=39, cloud_id="s2")
+        result = register(source, target)
+        blended = morph_registration(result, alpha)
+        assert_same_cloud(blended, primitive_chain(result, alpha))
+        assert blended.id == f"morph_s1_s2_{alpha:g}"
+
+    def test_equals_primitive_chain_with_weak_points(self):
+        # one source point far from everything keeps (near) zero matched
+        # mass, so its correspondence is the nearest target vertex
+        source = make_cloud(300, seed=38, cloud_id="s1")
+        vertices = source.vertices.copy()
+        vertices[0] = 1000.0
+        source = PointCloud(vertices, source.colors, "s1")
+        result = register(source, make_cloud(140, seed=39, cloud_id="s2"))
+        assert np.any(result.state.source_mass < MASS_EPS)
+        assert_same_cloud(morph_registration(result, 0.5), primitive_chain(result, 0.5))
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        result = register(make_cloud(30, seed=1), make_cloud(30, seed=2),
+                          RegistrationParams(max_iters=3))
+        with pytest.raises(ValueError):
+            morph_registration(result, 1.5)
 
 
 IMPORT_FOOTPRINT_SCRIPT = """
