@@ -44,14 +44,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import blas
 
+from . import kernel
 from .cloudio import NormalizationRecord, PointCloud, denormalize, normalize
 from .errors import DegenerateGeometryError, ShapeMismatchError
 from .kernel import GramMatrix, build_gram, field_posterior
 
 SIGMA2_FLOOR = 1e-8
 MASS_EPS = 1e-12
-# Elements of the (targets x sources) array the E-step works on at a time.
-E_STEP_CHUNK = 1 << 16
 # Shifted log-densities are raised to this floor before exponentiating.
 # exp(-600) is invisible next to each column's largest term, exp(0) = 1,
 # and keeps exp and the matrix product off their subnormal and underflow
@@ -144,6 +143,13 @@ class RegistrationParams:
             raise ValueError("max_iters must be at least 1")
 
 
+def _freeze_arrays(record) -> None:
+    """Make every array field of a dataclass instance read-only, in place."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class RegistrationProblem:
     """What every iteration reads but none changes, for M source and N
@@ -160,6 +166,9 @@ class RegistrationProblem:
                       log-densities read the first four columns, and it sums
                       all seven weighted by the match probabilities.
     target_centered_sq: (N,) |x_n - center|^2.
+
+    Every array is made read-only, not copied, when the problem is built,
+    as a state's arrays are.
     """
 
     source: PointCloud
@@ -169,6 +178,9 @@ class RegistrationProblem:
     center: np.ndarray
     target_table: np.ndarray
     target_centered_sq: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
 
 
 def build_problem(
@@ -194,15 +206,10 @@ def build_problem(
         log_outlier = math.log(params.omega / ((1.0 - params.omega) * volume))
     center = x.mean(axis=0)
     xc = x - center
-    tables = {
-        "center": center,
-        "target_table": np.hstack([xc, np.ones((n, 1)), target.colors]),
-        "target_centered_sq": np.einsum("ij,ij->i", xc, xc),
-    }
-    for table in tables.values():
-        table.setflags(write=False)
+    table = np.hstack([xc, np.ones((n, 1)), target.colors])
     gram = build_gram(source.vertices, params.beta)
-    return RegistrationProblem(source, params, gram, log_outlier, **tables)
+    return RegistrationProblem(source, params, gram, log_outlier, center, table,
+                               np.einsum("ij,ij->i", xc, xc))
 
 
 @dataclass(frozen=True)
@@ -247,9 +254,7 @@ class RegistrationState:
     moved_source: np.ndarray
 
     def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _freeze_arrays(self)
 
 
 def init_state(problem: RegistrationProblem) -> RegistrationState:
@@ -314,9 +319,10 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
         q_n = u2 |x_n|^2,
 
     where c_m collects the terms of a[m, n] that do not depend on n. Targets
-    are visited in chunks of about E_STEP_CHUNK / M points, and a chunk's
-    a + q is one (chunk, 4) x (4, M) matrix product written into a single
-    block reused for every chunk. q_n is the same for every source in
+    are visited in chunks of about kernel.PANEL_ELEMENTS / M points, the
+    working-set budget the distance panels use too, and a chunk's a + q is
+    one (chunk, 4) x (4, M) matrix product written into a single block
+    reused for every chunk. q_n is the same for every source in
     target n's column, so it cancels in the column's normalization; it
     only enters the outlier term, as b + q_n. Each column is shifted by
     max(its largest a + q, b + q_n) and raised to at least LOG_FLOOR before
@@ -352,7 +358,7 @@ def e_step(state: RegistrationState, problem: RegistrationProblem) -> Registrati
     yc = y - problem.center
     coef = np.vstack([2.0 * u2 * yc.T, log_weight - u2 * np.einsum("ij,ij->i", yc, yc)])
     q = u2 * problem.target_centered_sq
-    step = max(1, E_STEP_CHUNK // m)
+    step = max(1, kernel.PANEL_ELEMENTS // m)
     block = np.empty((min(step, n), m))
     ones = np.ones(m)
     for lo in range(0, n, step):

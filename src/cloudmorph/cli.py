@@ -26,7 +26,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .bcpd import RegistrationParams, RegistrationResult, register
-from .cloudio import PointCloud, downsample, load_ply, save_ply
+from .cloudio import downsample, load_ply, save_ply
 from .errors import CloudMorphError
 from .metrics import (
     FtarTable,
@@ -224,16 +224,11 @@ def _outcome(result: RegistrationResult) -> tuple[str, str, int]:
     return "not_converged", "did not converge", 2
 
 
-def _subsample(cloud: PointCloud, downsample_to: int, seed: int) -> PointCloud:
-    """``cloud`` subsampled to ``downsample_to`` points; 0 keeps every point."""
-    return downsample(cloud, downsample_to, seed) if downsample_to > 0 else cloud
-
-
 def _register_pair(args: argparse.Namespace) -> RegistrationResult:
     """``args.source`` registered onto ``args.target``, each read and
     subsampled; the parameters are checked before either file is read."""
     params = _params_from_args(args)
-    source, target = (_subsample(load_ply(path), args.downsample, args.seed)
+    source, target = (downsample(load_ply(path), args.downsample, args.seed)
                       for path in (args.source, args.target))
     return register(source, target, params)
 
@@ -346,7 +341,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                         loaded[key] = exc.with_traceback(None)
                 if isinstance(loaded[key], Exception):
                     raise loaded[key]
-            source, target = (_subsample(loaded[key], args.downsample, args.seed + index)
+            source, target = (downsample(loaded[key], args.downsample, args.seed + index)
                               for key in keys)
             result = register(source, target, params)
             save_ply(morph_registration(result, alpha), out / f"{pair['morph_id']}.ply")

@@ -141,13 +141,15 @@ def denormalize(cloud: PointCloud, record: NormalizationRecord) -> PointCloud:
 def downsample(cloud: PointCloud, target_count: int, seed: int) -> PointCloud:
     """Uniform random subsample without replacement, reproducible via seed.
 
-    Returns the cloud unchanged when it already has at most ``target_count``
-    vertices. Selected vertices keep their colors and their relative order.
+    Returns ``cloud`` itself when ``target_count`` is 0 (keep every point)
+    or when the cloud already has at most ``target_count`` vertices; a
+    negative count raises ValueError. Selected vertices keep their colors
+    and their relative order.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
+    if target_count < 0:
+        raise ValueError("target_count must be >= 0")
     n = len(cloud)
-    if target_count >= n:
+    if target_count == 0 or target_count >= n:
         return cloud
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=target_count, replace=False))
@@ -188,13 +190,10 @@ def _parse_header(raw: bytes, path: Path):
         elif parts[0] == "element":
             if len(parts) != 3:
                 raise MalformedHeaderError(f"{path}: bad element line {ln!r}")
-            try:
-                count = int(parts[2])
-            except ValueError:
-                count = -1
-            if count < 0:
+            # ASCII digits only: int() would also take "+10" and "1_0"
+            if not re.fullmatch(r"[0-9]+", parts[2]):
                 raise MalformedHeaderError(f"{path}: bad element count in {ln!r}")
-            elements.append((parts[1], count, []))
+            elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
                 raise MalformedHeaderError(f"{path}: property before any element")

@@ -10,8 +10,10 @@ from scipy.linalg import issymmetric, lapack, solve_triangular
 
 from .errors import NotPositiveDefiniteError
 
-# Elements of the row panels squared_distances and nearest_rows work on at a time.
-DISTANCE_PANEL = 1 << 16
+# The working-set budget, in elements, of every blocked loop over two point
+# sets: the row panels of squared_distances and nearest_rows, and the target
+# chunks of bcpd.e_step, which reads it at call time.
+PANEL_ELEMENTS = 1 << 16
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -20,12 +22,12 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each entry is summed from exact per-coordinate differences, first
     coordinate first, as ``cdist(x, y, "sqeuclidean")`` sums it, so the two
     agree bitwise; for ``y is x`` the result is exactly symmetric. The
-    differences are formed in row panels of about DISTANCE_PANEL elements,
+    differences are formed in row panels of about PANEL_ELEMENTS elements,
     so nothing larger than the result is held.
     """
     m, n = len(x), len(y)
     out = np.empty((m, n))
-    rows = max(1, DISTANCE_PANEL // n)
+    rows = max(1, PANEL_ELEMENTS // n)
     diff = np.empty((min(rows, m), n))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
@@ -42,10 +44,10 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Index of the row of y nearest each row of x, lowest index on ties.
 
-    The distances are taken in row panels of about DISTANCE_PANEL
+    The distances are taken in row panels of about PANEL_ELEMENTS
     elements, so no (len(x), len(y)) array is held.
     """
-    rows = max(1, DISTANCE_PANEL // len(y))
+    rows = max(1, PANEL_ELEMENTS // len(y))
     return np.concatenate([squared_distances(x[lo:lo + rows], y).argmin(axis=1)
                            for lo in range(0, len(x), rows)])
 
@@ -100,16 +102,14 @@ def build_gram(points, beta: float) -> GramMatrix:
 def solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B for symmetric positive-definite A via Cholesky, in place.
 
-    Returns (X, low): one LAPACK ``dposv`` call factors A and solves with
-    the factor, and ``low`` is the Fortran-ordered matrix it factored, whose
-    lower triangle is the factor L of A = L L^T that ``cho_factor`` gives
-    (its strict upper triangle is not part of L). A writeable C-ordered
-    float64 A is consumed: ``low`` is then ``A.T``, so the factor
-    overwrites A's upper triangle with the diagonal, and A's strict lower
-    triangle is left as it was. Any other A is copied first and left
-    intact, and ``low`` is the factored copy; the copy of a read-only A
-    must stay, because with ``overwrite_a=1`` SciPy's LAPACK wrapper writes
-    straight through an array marked read-only.
+    A must be a writeable, C-ordered float64 ndarray, and is consumed; any
+    other A raises ValueError and is left untouched. Returns (X, low): one
+    LAPACK ``dposv`` call factors A and solves with the factor, and ``low``
+    is ``A.T``, the Fortran-ordered matrix it factored, whose lower
+    triangle is the factor L of A = L L^T that ``cho_factor`` gives (its
+    strict upper triangle is not part of L). So the factor overwrites A's
+    upper triangle with the diagonal, and A's strict lower triangle is left
+    as it was.
 
     A is factored once and never regularized: if ``dposv`` finds it not
     positive definite, :class:`NotPositiveDefiniteError` is raised. The
@@ -120,14 +120,14 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the displacement system is by construction; so a NaN off the diagonal
     is rejected too.
     """
-    a = np.asarray(a)
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError("A must be a writeable, C-ordered float64 ndarray")
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"B has {b.shape[0]} rows, A is {a.shape[0]}x{a.shape[1]}")
-    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
-        a = np.array(a, dtype=np.float64, order="C")
     if not issymmetric(a):
         raise ValueError("A is not symmetric")
     # a.T is Fortran-ordered, so dposv neither copies it nor touches a's

@@ -13,6 +13,7 @@ from scipy.spatial.transform import Rotation
 from cloudmorph import (
     PointCloud,
     RegistrationParams,
+    RegistrationProblem,
     SimilarityTransform,
     apply_transform,
     build_gram,
@@ -254,6 +255,21 @@ class TestBuildProblem:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
+    def test_constructor_makes_arrays_read_only(self):
+        # the problem freezes its own arrays, as a state does, without
+        # copying them; build_problem is not the only way to make one
+        built = build_problem(make_cloud(15, seed=32), make_cloud(25, seed=33),
+                              RegistrationParams())
+        tables = {name: getattr(built, name).copy()
+                  for name in ("center", "target_table", "target_centered_sq")}
+        assert all(table.flags.writeable for table in tables.values())
+        problem = RegistrationProblem(built.source, built.params, built.gram,
+                                      built.log_outlier, **tables)
+        for name, table in tables.items():
+            assert getattr(problem, name) is table
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
     @pytest.mark.parametrize("use_sigma_correction", [False, True])
     def test_stepping_by_hand_equals_register(self, use_sigma_correction):
         source = make_cloud(70, seed=34, cloud_id="a")
@@ -428,10 +444,10 @@ class TestEStep:
             c = state.transform.scale**2 / sigma2
             var = 1.0 / (params.lam + c * rng.uniform(0.0, 1.0, size=m))
             state = replace(state, displacement_var=var)
-        monkeypatch.setattr(bcpd, "E_STEP_CHUNK", 250 * m)
-        assert math.ceil(n / (bcpd.E_STEP_CHUNK // m)) >= 3
+        monkeypatch.setattr(kernel, "PANEL_ELEMENTS", 250 * m)
+        assert math.ceil(n / (kernel.PANEL_ELEMENTS // m)) >= 3
         out = e_step(state, problem)
-        monkeypatch.setattr(bcpd, "E_STEP_CHUNK", m * n)
+        monkeypatch.setattr(kernel, "PANEL_ELEMENTS", m * n)
         whole = e_step(state, problem)
         for field in ("source_mass", "target_mass", "matched_targets", "matched_colors"):
             npt.assert_allclose(getattr(out, field), getattr(whole, field), rtol=1e-14, atol=1e-14)

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -356,22 +357,27 @@ class TestPly:
 
     @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
     def test_negative_element_count(self, fmt, tmp_path):
-        # a negative count is a header error, whatever element carries it
-        header = (
-            f"ply\nformat {fmt} 1.0\nelement face -1\nproperty list uchar int vertex_indices\n"
-            "element vertex 3\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-            "end_header\n"
-        ).encode("ascii")
+        # a count is ASCII digits only, whatever element carries it: a sign,
+        # a digit separator or an exponent, which int() or float() would
+        # take, is a header error
         if fmt == "ascii":
             body = b"0 0 0 1 2 3\n1 0 0 4 5 6\n0 1 0 7 8 9\n"
         else:
             body = struct.pack("<3f3B", 0.0, 0.0, 0.0, 1, 2, 3) * 3
         path = tmp_path / "negative.ply"
-        path.write_bytes(header + body)
-        with pytest.raises(MalformedHeaderError, match="bad element count in 'element face -1'"):
-            load_ply(path)
+        for count in ("-1", "1_0", "+10", "1e3"):
+            header = (
+                f"ply\nformat {fmt} 1.0\nelement face {count}\n"
+                "property list uchar int vertex_indices\n"
+                "element vertex 3\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                "end_header\n"
+            ).encode("ascii")
+            path.write_bytes(header + body)
+            with pytest.raises(MalformedHeaderError,
+                               match=re.escape(f"bad element count in 'element face {count}'")):
+                load_ply(path)
 
     def test_extra_properties_and_faces_ignored(self, tmp_path):
         path = tmp_path / "extra.ply"
@@ -638,6 +644,7 @@ class TestDownsample:
             assert key not in seen
             seen.add(key)
 
-    def test_target_must_be_positive(self, small_cloud):
-        with pytest.raises(ValueError):
-            downsample(small_cloud, 0, seed=0)
+    def test_zero_keeps_the_cloud_negative_raises(self, small_cloud):
+        assert downsample(small_cloud, 0, seed=0) is small_cloud
+        with pytest.raises(ValueError, match="target_count must be >= 0"):
+            downsample(small_cloud, -1, seed=0)

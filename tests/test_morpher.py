@@ -14,7 +14,6 @@ from cloudmorph import (
     PointCloud,
     RegistrationParams,
     SimilarityTransform,
-    aligned_colored_source,
     apply_transform,
     correspondence_targets,
     build_problem,
@@ -27,6 +26,7 @@ from cloudmorph import (
 from cloudmorph.bcpd import MASS_EPS
 from cloudmorph.errors import ShapeMismatchError
 from cloudmorph.kernel import squared_distances
+from cloudmorph.morpher import aligned_colored_source
 from conftest import make_cloud
 
 
@@ -65,7 +65,7 @@ class TestMorphConfig:
 
 class TestAlignedColoredSource:
     def test_identity_is_noop(self, small_cloud):
-        out = aligned_colored_source(
+        out = apply_transform(
             small_cloud, SimilarityTransform.identity(), np.zeros((len(small_cloud), 3))
         )
         npt.assert_array_equal(out.vertices, small_cloud.vertices)
@@ -81,7 +81,7 @@ class TestAlignedColoredSource:
 
     def test_colors_and_count_preserved(self, small_cloud, rng):
         tr = SimilarityTransform(0.5, np.eye(3), [1.0, 2.0, 3.0])
-        out = aligned_colored_source(small_cloud, tr, rng.normal(size=(len(small_cloud), 3)))
+        out = apply_transform(small_cloud, tr, rng.normal(size=(len(small_cloud), 3)))
         assert len(out) == len(small_cloud)
         npt.assert_array_equal(out.colors, small_cloud.colors)
 
@@ -247,7 +247,7 @@ class TestEndToEndMorph:
         source = make_cloud(120, seed=38, cloud_id="s1")
         target = make_cloud(140, seed=39, cloud_id="s2")
         result = register(source, target)
-        aligned = aligned_colored_source(
+        aligned = apply_transform(
             result.source_normalized, result.transform, result.displacement
         )
         npt.assert_array_equal(aligned.colors, source.colors)
@@ -261,7 +261,7 @@ class TestEndToEndMorph:
 
 def primitive_chain(result, alpha):
     """The morph of ``result`` assembled by hand from the public stages."""
-    aligned = aligned_colored_source(
+    aligned = apply_transform(
         result.source_normalized, result.transform, result.displacement
     )
     coords, colors = correspondence_targets(result.state, result.target_normalized)
