@@ -6,7 +6,7 @@ import numpy as np
 
 from cloudmorph import (
     FtarTable,
-    ScoreRecord,
+    ScoreTable,
     build_report,
     threshold_at_fmr,
     write_report_csv,
@@ -29,8 +29,9 @@ for th in thresholds:
           + (" (saturated)" if th.saturated else ""))
 
 # morph scores: both contributing subjects score high against good morphs,
-# while a weak tail of morphs drops one or both subjects below threshold
-records = []
+# while a weak tail of morphs drops one or both subjects below threshold;
+# one row per (morph, attempt, system), in the score CSV's column order
+rows = []
 for j in range(40):
     quality = rng.uniform(0.2, 1.0)  # per-morph attack quality
     for attempt in (1, 2):
@@ -38,11 +39,12 @@ for j in range(40):
         for frs in systems:
             s1 = float(np.clip(rng.normal(0.42 + 0.35 * quality + wobble, 0.06), 0, 1))
             s2 = float(np.clip(rng.normal(0.42 + 0.35 * quality + wobble, 0.06), 0, 1))
-            records.append(ScoreRecord(f"morph{j:02d}", frs, attempt, (s1, s2)))
+            rows.append((f"morph{j:02d}", "default", frs, attempt, s1, s2))
+table = ScoreTable.from_rows(rows)
 
 ftar = FtarTable({(2, frs): 0.02 for frs in systems})  # second attempts acquire worse
 
-report = build_report(records, thresholds, ftar)
+report = build_report(table, thresholds, ftar)
 print(f"\n{report.n_morphs} morphs x {report.n_attempts} attempts:")
 for frs in systems:
     counts = report.quadrant_counts[frs]
@@ -51,5 +53,5 @@ for frs in systems:
 print(f"  worst case across systems: {report.cross_frs:.2f}%")
 
 write_report_csv(report, out_dir / "metrics_report.csv")
-write_scatter_csv(records, thresholds, out_dir / "metrics_quadrants.csv")
+write_scatter_csv(table, thresholds, out_dir / "metrics_quadrants.csv")
 print(f"\nwrote metrics_report.csv and metrics_quadrants.csv to {out_dir}")

@@ -31,6 +31,10 @@ class NotPositiveDefiniteError(CloudMorphError):
     """Matrix is not positive definite."""
 
 
+class ProblemTooLargeError(CloudMorphError):
+    """A dense registration's M x M arrays would exceed kernel.MAX_DENSE_BYTES."""
+
+
 class ShapeMismatchError(CloudMorphError):
     """Array dimensions do not agree with the cloud they describe."""
 

@@ -8,12 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import issymmetric, lapack, solve_triangular
 
-from .errors import NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, ProblemTooLargeError
 
 # The working-set budget, in elements, of every blocked loop over two point
-# sets: the row panels of squared_distances and nearest_rows, and the target
-# chunks of bcpd.e_step, which reads it at call time.
+# sets: the row panels of squared_distances and nearest_rows, the column
+# panels of field_posterior's variance, and the target chunks of
+# bcpd.e_step, which reads it at call time.
 PANEL_ELEMENTS = 1 << 16
+# The largest dense registration, in bytes of its two M x M float64 arrays
+# (the Gram and the displacement system): M <= 11585. build_gram reads it at
+# call time, before it allocates either.
+MAX_DENSE_BYTES = 1 << 31
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,7 +87,12 @@ class GramMatrix:
 
 
 def build_gram(points, beta: float) -> GramMatrix:
-    """Evaluate the Gaussian kernel between every pair of points."""
+    """Evaluate the Gaussian kernel between every pair of points.
+
+    Raises ProblemTooLargeError, before any M x M array exists, when the
+    Gram and the displacement system that field_posterior builds next to it
+    would take more than MAX_DENSE_BYTES.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"points must have shape (M, 3) with M >= 1, got {pts.shape}")
@@ -90,6 +100,12 @@ def build_gram(points, beta: float) -> GramMatrix:
         raise ValueError("points must be finite")
     if not beta > 0:
         raise ValueError("beta must be positive")
+    m = len(pts)
+    if (needed := 2 * 8 * m * m) > MAX_DENSE_BYTES:
+        raise ProblemTooLargeError(
+            f"M = {m} source points need {needed} bytes for two {m}x{m} arrays, "
+            f"over the {MAX_DENSE_BYTES}-byte bound; use --downsample to register fewer"
+        )
     # the squared distances are exactly symmetric, and so is their exp
     values = squared_distances(pts, pts)
     np.divide(values, -2.0 * beta * beta, out=values)
@@ -99,17 +115,16 @@ def build_gram(points, beta: float) -> GramMatrix:
     return GramMatrix(values)
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive-definite A via Cholesky, in place.
 
     A must be a writeable, C-ordered float64 ndarray, and is consumed; any
-    other A raises ValueError and is left untouched. Returns (X, low): one
-    LAPACK ``dposv`` call factors A and solves with the factor, and ``low``
-    is ``A.T``, the Fortran-ordered matrix it factored, whose lower
-    triangle is the factor L of A = L L^T that ``cho_factor`` gives (its
-    strict upper triangle is not part of L). So the factor overwrites A's
-    upper triangle with the diagonal, and A's strict lower triangle is left
-    as it was.
+    other A raises ValueError and is left untouched. Returns X: one LAPACK
+    ``dposv`` call factors ``A.T``, the Fortran-ordered view of A, and
+    solves with the factor. Afterwards the lower triangle of ``A.T`` is the
+    factor L of A = L L^T that ``cho_factor`` gives; so the factor
+    overwrites A's upper triangle with the diagonal, and A's strict lower
+    triangle is left as it was.
 
     A is factored once and never regularized: if ``dposv`` finds it not
     positive definite, :class:`NotPositiveDefiniteError` is raised. The
@@ -132,10 +147,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("A is not symmetric")
     # a.T is Fortran-ordered, so dposv neither copies it nor touches a's
     # strict lower triangle
-    low, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
+    _, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"matrix of size {len(a)} is not positive definite")
-    return x, low
+    return x
 
 
 def field_posterior(gram: GramMatrix, mass, ratio: float, residual, variance: bool = False):
@@ -157,26 +172,34 @@ def field_posterior(gram: GramMatrix, mass, ratio: float, residual, variance: bo
 
     Returns (v, var). With ``variance`` set, var is the (M,) diagonal of
     lam * Sigma = G - ratio * G S K^-1 S G, read off the factor K = L L^T
-    that :func:`solve_spd` returns with one triangular solve W = L^-1 S G
-    (the Gram's diagonal is 1):
+    that :func:`solve_spd` leaves in ``K.T`` by the triangular solve
+    W = L^-1 S G (the Gram's diagonal is 1):
 
         var = 1 - ratio * colsum(W * W),
 
     which does subtract nearly equal terms when ratio is large; otherwise
-    var is None. K is built once, C-ordered, and factored in place by the
-    solve; so next to the Gram this holds one M x M array, or two with the
-    variance (K and S G, which W overwrites).
+    var is None. W is solved and reduced in panels of about PANEL_ELEMENTS
+    elements of whole columns, so no M x M S G or W is held. K is built
+    once, C-ordered, and factored in place by the solve; so next to the
+    Gram this holds one M x M array, with or without the variance.
     """
     g = gram.values
+    m = len(g)
     root = np.sqrt(mass)
     k = np.outer(root, root)
     k *= g
     k *= ratio
-    k.flat[:: len(g) + 1] += 1.0
-    x, low = solve_spd(k, root[:, None] * residual)
+    k.flat[:: m + 1] += 1.0
+    x = solve_spd(k, root[:, None] * residual)
     field = ratio * (g @ (root[:, None] * x))
     if not variance:
         return field, None
-    # low holds L in its lower triangle; (g * root).T is S G, F-ordered
-    w = solve_triangular(low, (g * root).T, lower=True, overwrite_b=True, check_finite=False)
-    return field, 1.0 - ratio * np.einsum("ij,ij->j", w, w)
+    # k.T holds L in its lower triangle; g[lo:hi].T is columns lo:hi of G
+    # (G is exactly symmetric), so each F-ordered panel is those of S G
+    cols = max(1, PANEL_ELEMENTS // m)
+    sums = []
+    for lo in range(0, m, cols):
+        w = solve_triangular(k.T, g[lo:lo + cols].T * root[:, None], lower=True,
+                             overwrite_b=True, check_finite=False)
+        sums.append(np.einsum("ij,ij->j", w, w))
+    return field, 1.0 - ratio * np.concatenate(sums)

@@ -16,8 +16,9 @@ chosen false-match rate.
 
 Scores are held column by column in a ScoreTable: integer codes for the
 morph, morph type and system names, the attempt indices and the two
-subject scores. The CSV reader streams rows into those arrays, and every
-function that takes records converts them to a table first. Every value
+subject scores. The CSV reader streams rows into those arrays, and
+``ScoreTable.from_rows`` builds a table in memory by the same row rule;
+every metric function takes a table. Every value
 is read from one success table, built once per call by indexing the
 columns: per morph type, a 0/1 array over (morph, attempt, system). A
 system's value is the mean of its slice; the cross-system value takes the
@@ -41,35 +42,6 @@ from .errors import EmptyScoresError, MissingThresholdError, RaggedDataError
 QUADRANTS = ("I", "II", "III", "IV")
 # index into QUADRANTS by (score 1 above) + 2 * (score 2 above)
 _QUADRANT_INDEX = (2, 3, 1, 0)
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    """Scores of one morph probed in one attempt against one system.
-
-    subject_scores holds the similarity scores of the morph's two subjects;
-    morph_type labels the generation method.
-    """
-
-    morph_id: str
-    frs_id: str
-    attempt_index: int
-    subject_scores: tuple[float, float]
-    morph_type: str = "default"
-
-    def __post_init__(self) -> None:
-        scores = tuple(float(s) for s in self.subject_scores)
-        _check_scores(self.attempt_index, scores)
-        object.__setattr__(self, "subject_scores", scores)
-
-
-def _check_scores(attempt_index: int, scores: tuple) -> None:
-    if len(scores) != 2:
-        raise ValueError(f"a morph has two subject scores, got {len(scores)}")
-    if not all(map(math.isfinite, scores)):
-        raise ValueError("subject scores must be finite")
-    if attempt_index < 1:
-        raise ValueError("attempt_index must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +88,15 @@ class ScoreTable:
         )
 
     @classmethod
-    def from_records(cls, records) -> ScoreTable:
-        """The table of ``records`` (ScoreRecords); a ScoreTable is returned
-        as it is."""
-        if isinstance(records, ScoreTable):
-            return records
-        return cls._from_rows(
-            (r.morph_id, r.morph_type, r.frs_id, r.attempt_index, r.subject_scores)
-            for r in records
-        )
+    def from_rows(cls, rows) -> ScoreTable:
+        """The table of ``rows``, each ``(morph_id, morph_type, frs_id,
+        attempt, score_s1, score_s2)`` in SCORES_COLUMNS order and checked by
+        the rule read_scores_csv applies, with its messages; EmptyScoresError
+        when there are none."""
+        table = cls._from_rows(_score_row(*row) for row in rows)
+        if not len(table):
+            raise EmptyScoresError("no score rows")
+        return table
 
     def __len__(self) -> int:
         return len(self.attempt)
@@ -156,17 +128,8 @@ class FtarTable:
     rates: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        clean = {}
-        for (attempt, frs_id), value in dict(self.rates).items():
-            attempt, value = int(attempt), float(value)
-            if attempt < 1:
-                raise ValueError(f"FTAR attempt {attempt}, frs {frs_id!r} must be >= 1")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"FTAR for attempt {attempt}, frs {frs_id!r} must lie in [0, 1]"
-                )
-            clean[(attempt, str(frs_id))] = value
-        object.__setattr__(self, "rates", clean)
+        rates = dict(_ftar_entry(f, a, v) for (a, f), v in dict(self.rates).items())
+        object.__setattr__(self, "rates", rates)
 
     def get(self, attempt_index: int, frs_id: str) -> float:
         return self.rates.get((attempt_index, frs_id), 0.0)
@@ -217,14 +180,13 @@ def threshold_at_fmr(nonmated_scores, fmr_target: float, frs_id: str = "") -> Fr
     return FrsThreshold(frs_id, float(uniq[-1]), fmr_target, saturated=True)
 
 
-def quadrant_classify(record: ScoreRecord, threshold: FrsThreshold) -> str:
+def quadrant_classify(s1: float, s2: float, threshold: FrsThreshold) -> str:
     """Quadrant of (subject-1 score, subject-2 score) against the threshold.
 
     "I" means both scores are above (a successful attack), "II" only the
     second, "IV" only the first, "III" neither. Comparisons are strict, so
     a score equal to the threshold does not count as above it.
     """
-    s1, s2 = record.subject_scores
     return QUADRANTS[_QUADRANT_INDEX[(s1 > threshold.tau) + 2 * (s2 > threshold.tau)]]
 
 
@@ -289,15 +251,7 @@ def _percent(tables, attempts, systems, ftar: FtarTable | None = None) -> float:
     return 100.0 * float(np.mean([float((t * kept).min(axis=2).mean()) for t in tables]))
 
 
-def _table(records) -> ScoreTable:
-    """``records`` as a ScoreTable; EmptyScoresError when there are none."""
-    table = ScoreTable.from_records(records)
-    if not len(table):
-        raise EmptyScoresError("no score records")
-    return table
-
-
-def gmap(records, thresholds, ftar: FtarTable | None = None) -> float:
+def gmap(table: ScoreTable, thresholds, ftar: FtarTable | None = None) -> float:
     """Generalized attack-potential percentage over the full score table.
 
     Every (attempt, morph) cell is scored with the worst case across
@@ -306,29 +260,27 @@ def gmap(records, thresholds, ftar: FtarTable | None = None) -> float:
     averaged. Requires a rectangular table: every morph must be scored for
     every attempt under every system, otherwise RaggedDataError is raised.
     """
-    attempts, systems, tables = _success_tables(_table(records), thresholds)
+    attempts, systems, tables = _success_tables(table, thresholds)
     return _percent(tables, attempts, systems, ftar)
 
 
-def gmap_ma(records, threshold: FrsThreshold) -> float:
+def gmap_ma(table: ScoreTable, threshold: FrsThreshold) -> float:
     """Single-system attack potential with failure-to-acquire ignored.
 
-    Expects records from one system and one generation type; equals the
+    Expects rows from one system and one generation type; equals the
     general metric restricted accordingly.
     """
-    table = ScoreTable.from_records(records)
     if len(table.morph_types) > 1:
         raise ValueError(f"expected a single morph type, got {list(table.morph_types)}")
     return gmap(table, [threshold], FtarTable())
 
 
-def gmap_mamf(records, thresholds, ftar: FtarTable | None = None) -> float:
+def gmap_mamf(table: ScoreTable, thresholds, ftar: FtarTable | None = None) -> float:
     """Worst-case-across-systems attack potential for one generation type.
 
     Each (attempt, morph) cell takes the minimum over systems of
     success * (1 - failure-to-acquire) before averaging.
     """
-    table = _table(records)
     if len(table.frs_ids) < 2:
         raise ValueError("the cross-system metric needs at least two systems")
     if len(table.morph_types) > 1:
@@ -343,25 +295,22 @@ def _quadrants(table: ScoreTable, taus: np.ndarray) -> np.ndarray:
     return np.take(_QUADRANT_INDEX, (table.scores[:, 0] > tau) + 2 * (table.scores[:, 1] > tau))
 
 
-def quadrant_counts(records, thresholds) -> dict:
-    """Per system (in sorted order), how many two-subject records fall in
-    each quadrant."""
-    table = ScoreTable.from_records(records)
+def quadrant_counts(table: ScoreTable, thresholds) -> dict:
+    """Per system (in sorted order), how many rows fall in each quadrant."""
     quadrant = _quadrants(table, _taus(table, thresholds))
     counts = np.bincount(table.frs * 4 + quadrant, minlength=4 * len(table.frs_ids))
     return {frs_id: dict(zip(QUADRANTS, row))
             for frs_id, row in zip(table.frs_ids, counts.reshape(-1, 4).tolist())}
 
 
-def build_report(records, thresholds, ftar: FtarTable | None = None) -> GmapReport:
+def build_report(table: ScoreTable, thresholds, ftar: FtarTable | None = None) -> GmapReport:
     """Assemble per-system values, the cross-system value, and quadrant
-    counts of two-subject records into one report.
+    counts of ``table`` into one report.
 
     Per-system values ignore failure-to-acquire by definition; the
     cross-system value honours the supplied table. ``n_morphs`` counts the
     (type, morph) rows of the success table.
     """
-    table = _table(records)
     attempts, systems, tables = _success_tables(table, thresholds)
     per_frs = {
         frs_id: _percent([t[:, :, [k]] for t in tables], attempts, [frs_id])
@@ -434,12 +383,23 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _score_row(morph_id, morph_type, frs_id, attempt, s1, s2) -> tuple:
-    attempt = int(attempt)
+def _attempt(value) -> int:
+    """An attempt index written in base 10, as text or a value whose str is
+    that text (so 1.5 and True are rejected as "1.5" and "True" are), from 1
+    to 2**63 - 1."""
+    attempt = int(str(value))
+    if attempt < 1:
+        raise ValueError(f"attempt {attempt} must be >= 1")
     if attempt >= 2**63:
         raise ValueError(f"attempt {attempt} does not fit in 64 bits")
+    return attempt
+
+
+def _score_row(morph_id, morph_type, frs_id, attempt, s1, s2) -> tuple:
+    attempt = _attempt(attempt)
     scores = (float(s1), float(s2))
-    _check_scores(attempt, scores)
+    if not (math.isfinite(scores[0]) and math.isfinite(scores[1])):
+        raise ValueError("subject scores must be finite")
     return morph_id, morph_type, frs_id, attempt, scores
 
 
@@ -469,20 +429,24 @@ def read_nonmated_csv(path) -> dict:
     return scores
 
 
+def _ftar_entry(frs_id, attempt, rate) -> tuple:
+    """``((attempt, frs_id), rate)`` of one failure-to-acquire entry: the
+    attempt as a score row takes it, the rate in [0, 1]."""
+    key, value = (_attempt(attempt), str(frs_id)), float(rate)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"FTAR {rate!r} for frs_id {frs_id!r} must lie in [0, 1]")
+    return key, value
+
+
 def read_ftar_csv(path) -> FtarTable:
     """Read `frs_id,attempt,ftar` rows into a failure-to-acquire table; a
     second row for the same system and attempt is an error."""
     rates = {}
 
     def add(frs_id, attempt, text) -> None:
-        key = (int(attempt), frs_id)
-        if key[0] < 1:
-            raise ValueError(f"attempt {key[0]} must be >= 1")
+        key, rate = _ftar_entry(frs_id, attempt, text)
         if key in rates:
             raise ValueError(f"duplicate row for frs_id {frs_id!r}, attempt {key[0]}")
-        rate = float(text)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"FTAR {text!r} must lie in [0, 1]")
         rates[key] = rate
 
     for _ in read_csv_rows(path, FTAR_COLUMNS, add):
@@ -502,14 +466,13 @@ def write_report_csv(report: GmapReport, path) -> None:
     write_csv_rows(path, ["frs_id", "gmap_ma", "quad1", "quad2", "quad3", "quad4"], rows)
 
 
-def write_scatter_csv(records, thresholds, path) -> None:
+def write_scatter_csv(table: ScoreTable, thresholds, path) -> None:
     """Write plot-ready `morph_id,frs_id,attempt,score_s1,score_s2,quadrant`
-    rows, one per two-subject record, in input order.
+    rows, one per row of ``table``, in input order.
 
-    Every record is classified before the file is opened, so a record without
-    a threshold raises and leaves no file behind.
+    Every row is classified before the file is opened, so a row without a
+    threshold raises and leaves no file behind.
     """
-    table = ScoreTable.from_records(records)
     quadrant = _quadrants(table, _taus(table, thresholds))
 
     def rows():

@@ -20,6 +20,7 @@ from cloudmorph import (
     FtarTable,
     MorphConfig,
     PointCloud,
+    ScoreTable,
     SimilarityTransform,
     apply_transform,
     gmap,
@@ -173,7 +174,8 @@ def test_criterion_6_gmap_oracle_equivalence():
             n_types = int(rng.integers(1, 4))
             records, taus, thresholds, ftar_map = random_table(rng, n_types=n_types)
             expected = oracle_gmap(records, taus, ftar_map)
-            assert gmap(records, thresholds, FtarTable(ftar_map)) == pytest.approx(
+            table = ScoreTable.from_rows(records)
+            assert gmap(table, thresholds, FtarTable(ftar_map)) == pytest.approx(
                 expected, abs=1e-12
             )
             single = [r for r in records if r.frs_id == thresholds[0].frs_id
@@ -181,7 +183,7 @@ def test_criterion_6_gmap_oracle_equivalence():
             expected_single = oracle_gmap(
                 single, {thresholds[0].frs_id: taus[thresholds[0].frs_id]}, {}
             )
-            assert gmap_ma(single, thresholds[0]) == pytest.approx(
+            assert gmap_ma(ScoreTable.from_rows(single), thresholds[0]) == pytest.approx(
                 expected_single, abs=1e-12
             )
         # hand-counted fixtures
@@ -189,9 +191,9 @@ def test_criterion_6_gmap_oracle_equivalence():
             ("A", 1, 0.6, 0.7), ("A", 2, 0.6, 0.4),
             ("B", 1, 0.8, 0.9), ("B", 2, 0.7, 0.6),
         ]
-        from cloudmorph import ScoreRecord
-
-        table = [ScoreRecord(m, "frs1", i, (s1, s2)) for m, i, s1, s2 in records]
+        table = ScoreTable.from_rows(
+            (m, "default", "frs1", i, s1, s2) for m, i, s1, s2 in records
+        )
         threshold = FrsThreshold("frs1", 0.5, 0.001)
         assert gmap(table, [threshold]) == pytest.approx(75.0, abs=1e-12)
         assert gmap(
@@ -209,22 +211,23 @@ def test_criterion_7_metric_structure():
             per_frs = {}
             for frs_id in sorted({r.frs_id for r in records}):
                 subset = [r for r in records if r.frs_id == frs_id]
-                value = gmap_ma(subset, threshold_map[frs_id])
+                value = gmap_ma(ScoreTable.from_rows(subset), threshold_map[frs_id])
                 per_frs[frs_id] = value
                 # quadrant-I fraction equals the single-system rate
                 count_one = sum(
                     1 for r in subset
-                    if quadrant_classify(r, threshold_map[frs_id]) == "I"
+                    if quadrant_classify(r.score_s1, r.score_s2, threshold_map[frs_id]) == "I"
                 )
                 assert count_one / len(subset) == pytest.approx(value / 100.0, abs=1e-12)
             # the cross-system value never exceeds any single-system value
-            assert gmap_mamf(records, thresholds) <= min(per_frs.values()) + 1e-12
+            table = ScoreTable.from_rows(records)
+            assert gmap_mamf(table, thresholds) <= min(per_frs.values()) + 1e-12
             # raising any threshold never raises the metric
             raised = [
                 FrsThreshold(t.frs_id, t.tau + float(rng.uniform(0.01, 0.2)), t.fmr_target)
                 for t in thresholds
             ]
-            assert gmap(records, raised) <= gmap(records, thresholds) + 1e-12
+            assert gmap(table, raised) <= gmap(table, thresholds) + 1e-12
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):

@@ -59,7 +59,7 @@ def test_traced_pipeline_and_eval_produce_every_declared_layer_metric(tmp_path):
 
     # A hook that cannot read its call is counted in trace.count_errors and
     # leaves its metric at 0. The E-step's reads an M x N argument the
-    # E-step no longer takes (ROADMAP item 2), so it fails once per call;
+    # E-step no longer takes (ROADMAP item 1), so it fails once per call;
     # every other hook must count.
     counted = set(tracer.counts) - {"trace.count_errors", "bcpd.e_step.bytes_computed"}
     assert sorted(name for name in counted if not tracer.counts[name] > 0) == []

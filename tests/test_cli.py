@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cloudmorph import (
-    PointCloud, RegistrationParams, cli, downsample, load_ply, metrics, morph_registration,
-    register, save_ply,
+    PointCloud, RegistrationParams, cli, downsample, kernel, load_ply, metrics,
+    morph_registration, register, save_ply,
 )
 from conftest import make_cloud
 
@@ -810,6 +810,42 @@ class TestNegativeDownsample:
         assert cli.main([command, *inputs, *flag, "--out", str(out)]) == 1
         assert "--downsample must be >= 0, got -5" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestDenseBound:
+    # the bound is lowered so that a 70-point source is over it and a
+    # 40-point one is not: 16 * 40**2 <= 16 * 50**2 < 16 * 70**2
+    @pytest.fixture(autouse=True)
+    def low_bound(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MAX_DENSE_BYTES", 16 * 50 * 50)
+
+    def test_morph_over_the_bound_exits_1_naming_downsample(self, cloud_files, tmp_path,
+                                                             capsys):
+        out = tmp_path / "m"
+        a, b = str(cloud_files["a"]), str(cloud_files["b"])
+        assert cli.main(["morph", a, b, "--downsample", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: M = 70 source points need 78400 bytes")
+        assert "--downsample" in err
+        assert list(out.iterdir()) == []
+        assert cli.main(["morph", a, b, "--downsample", "40", "--out", str(out)]) in (0, 2)
+
+    def test_pipeline_records_the_pair_over_the_bound(self, cloud_files, tmp_path):
+        small = tmp_path / "small.ply"
+        save_ply(downsample(load_ply(cloud_files["c"]), 40, 0), small)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("subject_a,subject_b,morph_id\n"
+                         f"{cloud_files['a']},{cloud_files['b']},morph_big\n"
+                         f"{small},{cloud_files['d']},morph_small\n")
+        out = tmp_path / "batch"
+        assert cli.main(["pipeline", str(pairs), "--out", str(out), "--downsample", "0"]) == 0
+        with (out / "manifest.csv").open() as handle:
+            manifest = {row["morph_id"]: row for row in csv.DictReader(handle)}
+        assert manifest["morph_big"]["status"] == "error"
+        assert "--downsample" in manifest["morph_big"]["detail"]
+        assert not (out / "morph_big.ply").exists()
+        assert manifest["morph_small"]["status"] in ("converged", "not_converged")
+        assert (out / "morph_small.ply").exists()
 
 
 class TestBadAlphaAndSeed:

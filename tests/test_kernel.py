@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from cloudmorph import GramMatrix, build_gram, kernel, solve_spd
-from cloudmorph.errors import NotPositiveDefiniteError
+from cloudmorph.errors import NotPositiveDefiniteError, ProblemTooLargeError
 
 
 class TestSquaredDistances:
@@ -132,6 +132,31 @@ class TestBuildGram:
             tracemalloc.stop()
         assert peak < 10e6
 
+    def test_dense_bound_raises_before_any_m_by_m_array(self, monkeypatch):
+        # two M x M float64 arrays (the Gram and the displacement system)
+        # must fit in MAX_DENSE_BYTES; over it, nothing of that size is made
+        m = 500
+        points = np.random.default_rng(500).normal(size=(m, 3))
+        monkeypatch.setattr(kernel, "MAX_DENSE_BYTES", 16 * m * m - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProblemTooLargeError) as err:
+                build_gram(points, beta=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m / 10
+        message = str(err.value)
+        assert f"M = {m}" in message and str(16 * m * m) in message
+        assert "--downsample" in message
+        monkeypatch.setattr(kernel, "MAX_DENSE_BYTES", 16 * m * m)
+        assert build_gram(points, beta=0.3).values.shape == (m, m)
+
+    def test_dense_bound_admits_m_11585(self):
+        # the bound as shipped, checked without allocating: the largest M
+        # whose two M x M arrays fit
+        assert 16 * 11585**2 <= kernel.MAX_DENSE_BYTES < 16 * 11586**2
+
     def test_caller_array_is_copied(self):
         values = build_gram(np.random.default_rng(7).normal(size=(5, 3)), beta=0.3).values
         mine = values.copy()
@@ -157,11 +182,11 @@ class TestBuildGram:
 class TestSolveSpd:
     def test_identity_system(self, rng):
         b = rng.normal(size=(6, 2))
-        x, _ = solve_spd(np.eye(6), b)
+        x = solve_spd(np.eye(6), b)
         npt.assert_allclose(x, b, atol=1e-14)
 
     def test_scalar_system(self):
-        x, _ = solve_spd(2.0 * np.eye(4), np.ones((4, 3)))
+        x = solve_spd(2.0 * np.eye(4), np.ones((4, 3)))
         npt.assert_allclose(x, 0.5 * np.ones((4, 3)), atol=1e-14)
 
     def test_random_spd_residual(self):
@@ -174,7 +199,7 @@ class TestSolveSpd:
             a = (q * diag) @ q.T
             a = 0.5 * (a + a.T)
             b = rng.normal(size=(m, 3))
-            x, _ = solve_spd(a.copy(), b)
+            x = solve_spd(a.copy(), b)
             residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
             assert residual <= 1e-8
 
@@ -226,8 +251,9 @@ class TestSolveSpd:
             solve_spd(a, np.ones(2))
 
     def test_consumes_c_ordered_writeable(self):
-        # the factor is cho_factor's, returned as A.T and so written over
-        # the upper triangle; the strict lower triangle is left as it was
+        # the factor is cho_factor's, left in the lower triangle of A.T and
+        # so written over A's upper triangle; its strict lower triangle is
+        # left as it was
         rng = np.random.default_rng(41)
         m = 40
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
@@ -236,10 +262,9 @@ class TestSolveSpd:
         original = a.copy()
         b = rng.normal(size=(m, 3))
         factor = cho_factor(original, lower=True)
-        x, low = solve_spd(a, b)
+        x = solve_spd(a, b)
         npt.assert_array_equal(x, cho_solve(factor, b))
-        assert np.shares_memory(low, a) and low.flags.f_contiguous
-        npt.assert_array_equal(np.tril(low), np.tril(factor[0]))
+        npt.assert_array_equal(np.tril(a.T), np.tril(factor[0]))
         npt.assert_array_equal(np.triu(a), np.tril(factor[0]).T)
         npt.assert_array_equal(np.tril(a, -1), np.tril(original, -1))
 
@@ -280,6 +305,21 @@ class TestFieldPosterior:
             npt.assert_allclose(var, np.diag(cov), rtol=0, atol=1e-10)
         else:
             assert var is None
+
+    @pytest.mark.parametrize("width", [1, 7, 40])
+    def test_variance_panels_match_one_panel(self, width, monkeypatch):
+        # W = L^-1 S G is solved in column panels of PANEL_ELEMENTS // M
+        # columns; 99 = 14 * 7 + 1 leaves a last panel of one column
+        rng = np.random.default_rng(99)
+        gram = build_gram(rng.normal(size=(99, 3)), 0.4)
+        mass = rng.uniform(0.0, 1.0, size=99)
+        residual = rng.normal(size=(99, 3))
+        monkeypatch.setattr(kernel, "PANEL_ELEMENTS", 1 << 40)
+        field, var = kernel.field_posterior(gram, mass, 30.0, residual, variance=True)
+        monkeypatch.setattr(kernel, "PANEL_ELEMENTS", width * 99)
+        panel_field, panel_var = kernel.field_posterior(gram, mass, 30.0, residual, True)
+        npt.assert_array_equal(panel_field, field)
+        npt.assert_allclose(panel_var, var, rtol=0, atol=1e-14)
 
     def test_diagonal_gram_closed_form(self):
         # Oracle: with G = I the posterior decouples per point into the

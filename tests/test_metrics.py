@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from cloudmorph import (
     FrsThreshold,
     FtarTable,
-    ScoreRecord,
     ScoreTable,
     build_report,
     gmap,
@@ -24,48 +24,47 @@ from cloudmorph import (
 from cloudmorph.errors import EmptyScoresError, MissingThresholdError, RaggedDataError
 from cloudmorph import metrics
 from cloudmorph.cli import _read_pairing_csv
-from cloudmorph.metrics import QUADRANTS
+from cloudmorph.metrics import QUADRANTS, SCORES_COLUMNS
+
+# a score row in SCORES_COLUMNS order, with its fields named
+Row = namedtuple("Row", SCORES_COLUMNS)
+from_rows = ScoreTable.from_rows
 
 
-def record(morph, frs, attempt, s1, s2, morph_type="default"):
-    return ScoreRecord(morph, frs, attempt, (s1, s2), morph_type)
+def score_row(morph, frs, attempt, s1, s2, morph_type="default"):
+    return Row(morph, morph_type, frs, attempt, s1, s2)
 
 
 def table_rows(table):
-    """(morph_id, frs_id, attempt, scores, morph_type) of each row of a
-    ScoreTable, read from its columns."""
-    return list(zip(
+    """The rows of a ScoreTable, read from its columns."""
+    return [Row(*fields) for fields in zip(
         [table.morph_ids[c] for c in table.morph],
+        [table.morph_types[c] for c in table.morph_type],
         [table.frs_ids[c] for c in table.frs],
         table.attempt.tolist(),
-        map(tuple, table.scores.tolist()),
-        [table.morph_types[c] for c in table.morph_type],
-    ))
+        table.scores[:, 0].tolist(),
+        table.scores[:, 1].tolist(),
+    )]
 
 
-def record_rows(records):
-    return [(r.morph_id, r.frs_id, r.attempt_index, r.subject_scores, r.morph_type)
-            for r in records]
-
-
-def oracle_gmap(records, taus, ftar_map):
+def oracle_gmap(rows, taus, ftar_map):
     """Brute-force cell enumeration, independent of the implementation."""
-    types = sorted({r.morph_type for r in records})
-    systems = sorted({r.frs_id for r in records})
-    attempts = sorted({r.attempt_index for r in records})
+    types = sorted({r.morph_type for r in rows})
+    systems = sorted({r.frs_id for r in rows})
+    attempts = sorted({r.attempt for r in rows})
     table = {}
-    for r in records:
-        table[(r.morph_type, r.morph_id, r.attempt_index, r.frs_id)] = r
+    for r in rows:
+        table[(r.morph_type, r.morph_id, r.attempt, r.frs_id)] = r
     total = 0.0
     for d in types:
-        morphs = sorted({r.morph_id for r in records if r.morph_type == d})
+        morphs = sorted({r.morph_id for r in rows if r.morph_type == d})
         acc = 0.0
         for j in morphs:
             for i in attempts:
                 worst = None
                 for l in systems:
                     rec = table[(d, j, i, l)]
-                    hit = 1.0 if all(s > taus[l] for s in rec.subject_scores) else 0.0
+                    hit = 1.0 if rec.score_s1 > taus[l] and rec.score_s2 > taus[l] else 0.0
                     value = hit * (1.0 - ftar_map.get((i, l), 0.0))
                     worst = value if worst is None else min(worst, value)
                 acc += worst
@@ -73,21 +72,21 @@ def oracle_gmap(records, taus, ftar_map):
     return 100.0 * total / len(types)
 
 
-def oracle_ragged_message(records):
+def oracle_ragged_message(rows):
     """RaggedDataError message for the first duplicate cell in input order,
     else for the first missing cell in type, morph, attempt, system order;
     None for a rectangular table."""
     seen = set()
-    for r in records:
-        cell = (r.morph_type, r.morph_id, r.attempt_index, r.frs_id)
+    for r in rows:
+        cell = (r.morph_type, r.morph_id, r.attempt, r.frs_id)
         if cell in seen:
             return (f"duplicate cell: type={r.morph_type!r} morph={r.morph_id!r} "
-                    f"attempt={r.attempt_index} frs={r.frs_id!r}")
+                    f"attempt={r.attempt} frs={r.frs_id!r}")
         seen.add(cell)
-    attempts = sorted({r.attempt_index for r in records})
-    systems = sorted({r.frs_id for r in records})
-    for d in sorted({r.morph_type for r in records}):
-        for j in sorted({r.morph_id for r in records if r.morph_type == d}):
+    attempts = sorted({r.attempt for r in rows})
+    systems = sorted({r.frs_id for r in rows})
+    for d in sorted({r.morph_type for r in rows}):
+        for j in sorted({r.morph_id for r in rows if r.morph_type == d}):
             for i in attempts:
                 for l in systems:
                     if (d, j, i, l) not in seen:
@@ -95,11 +94,11 @@ def oracle_ragged_message(records):
     return None
 
 
-def oracle_quadrant_counts(records, taus):
-    """Per system, records by quadrant, from the definition."""
-    counts = {f: dict.fromkeys(QUADRANTS, 0) for f in sorted({r.frs_id for r in records})}
-    for r in records:
-        above1, above2 = (s > taus[r.frs_id] for s in r.subject_scores)
+def oracle_quadrant_counts(rows, taus):
+    """Per system, rows by quadrant, from the definition."""
+    counts = {f: dict.fromkeys(QUADRANTS, 0) for f in sorted({r.frs_id for r in rows})}
+    for r in rows:
+        above1, above2 = (s > taus[r.frs_id] for s in (r.score_s1, r.score_s2))
         quadrant = {(True, True): "I", (False, True): "II",
                     (False, False): "III", (True, False): "IV"}[above1, above2]
         counts[r.frs_id][quadrant] += 1
@@ -110,13 +109,13 @@ def random_table(rng, n_frs=None, n_morphs=None, n_attempts=None, n_types=1):
     n_frs = n_frs or int(rng.integers(1, 6))
     n_morphs = n_morphs or int(rng.integers(1, 21))
     n_attempts = n_attempts or int(rng.integers(1, 6))
-    records = []
+    rows = []
     for d in range(n_types):
         for j in range(n_morphs):
             for i in range(1, n_attempts + 1):
                 for l in range(n_frs):
-                    records.append(
-                        record(
+                    rows.append(
+                        score_row(
                             f"m{j}", f"frs{l}", i,
                             float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
                             morph_type=f"type{d}",
@@ -129,7 +128,7 @@ def random_table(rng, n_frs=None, n_morphs=None, n_attempts=None, n_types=1):
         for l in range(n_frs):
             if rng.uniform() < 0.5:
                 ftar_map[(i, f"frs{l}")] = float(rng.uniform(0, 0.4))
-    return records, taus, thresholds, ftar_map
+    return rows, taus, thresholds, ftar_map
 
 
 class TestThresholdAtFmr:
@@ -206,144 +205,158 @@ class TestQuadrantClassify:
     threshold = FrsThreshold("A", 0.5, 0.001)
 
     def test_both_above(self):
-        assert quadrant_classify(record("m", "A", 1, 0.6, 0.7), self.threshold) == "I"
+        assert quadrant_classify(0.6, 0.7, self.threshold) == "I"
 
     def test_only_second_above(self):
-        assert quadrant_classify(record("m", "A", 1, 0.4, 0.7), self.threshold) == "II"
+        assert quadrant_classify(0.4, 0.7, self.threshold) == "II"
 
     def test_boundary_tie_is_not_above(self):
-        assert quadrant_classify(record("m", "A", 1, 0.5, 0.5), self.threshold) == "III"
+        assert quadrant_classify(0.5, 0.5, self.threshold) == "III"
 
     def test_only_first_above(self):
-        assert quadrant_classify(record("m", "A", 1, 0.9, 0.2), self.threshold) == "IV"
+        assert quadrant_classify(0.9, 0.2, self.threshold) == "IV"
+
+    def test_columns_follow_the_scalar_rule(self):
+        # _quadrants, behind the counts and the scatter file, classifies
+        # every row as quadrant_classify does, a score equal to tau included
+        rng = np.random.default_rng(31)
+        rows, taus, thresholds, _ = random_table(rng, n_frs=3)
+        rows = [r._replace(score_s2=taus[r.frs_id]) if i % 5 == 0 else r
+                for i, r in enumerate(rows)]
+        table = from_rows(rows)
+        by_frs = {t.frs_id: t for t in thresholds}
+        quadrant = metrics._quadrants(table, metrics._taus(table, thresholds))
+        assert [QUADRANTS[q] for q in quadrant] == [
+            quadrant_classify(r.score_s1, r.score_s2, by_frs[r.frs_id]) for r in rows
+        ]
 
 
 class TestGmapFixtures:
-    def fixture_records(self):
+    def fixture_rows(self):
         return [
-            record("A", "frs1", 1, 0.6, 0.7),
-            record("A", "frs1", 2, 0.6, 0.4),
-            record("B", "frs1", 1, 0.8, 0.9),
-            record("B", "frs1", 2, 0.7, 0.6),
+            score_row("A", "frs1", 1, 0.6, 0.7),
+            score_row("A", "frs1", 2, 0.6, 0.4),
+            score_row("B", "frs1", 1, 0.8, 0.9),
+            score_row("B", "frs1", 2, 0.7, 0.6),
         ]
 
     def test_all_above_is_100(self):
-        records = [record("A", "frs1", 1, 0.9, 0.8)]
-        assert gmap(records, [FrsThreshold("frs1", 0.5, 0.001)]) == 100.0
+        rows = [score_row("A", "frs1", 1, 0.9, 0.8)]
+        assert gmap(from_rows(rows), [FrsThreshold("frs1", 0.5, 0.001)]) == 100.0
 
     def test_all_below_is_0(self):
-        records = [record("A", "frs1", 1, 0.1, 0.2)]
-        assert gmap(records, [FrsThreshold("frs1", 0.5, 0.001)]) == 0.0
+        rows = [score_row("A", "frs1", 1, 0.1, 0.2)]
+        assert gmap(from_rows(rows), [FrsThreshold("frs1", 0.5, 0.001)]) == 0.0
 
     def test_hand_counted_75(self):
         # 2 morphs x 2 attempts, one failing cell: (1/4) * 3 * 100 = 75
-        value = gmap(self.fixture_records(), [FrsThreshold("frs1", 0.5, 0.001)])
+        value = gmap(from_rows(self.fixture_rows()), [FrsThreshold("frs1", 0.5, 0.001)])
         assert value == pytest.approx(75.0, abs=1e-12)
 
     def test_hand_counted_62_5_with_ftar(self):
         # FTAR 0.5 on attempt 2: (1/4) * (1 + 0 + 1 + 0.5) * 100 = 62.5
         ftar = FtarTable({(2, "frs1"): 0.5})
-        value = gmap(self.fixture_records(), [FrsThreshold("frs1", 0.5, 0.001)], ftar)
+        value = gmap(from_rows(self.fixture_rows()), [FrsThreshold("frs1", 0.5, 0.001)], ftar)
         assert value == pytest.approx(62.5, abs=1e-12)
 
     def test_missing_threshold(self):
         with pytest.raises(MissingThresholdError) as err:
-            gmap(self.fixture_records(), [FrsThreshold("other", 0.5, 0.001)])
+            gmap(from_rows(self.fixture_rows()), [FrsThreshold("other", 0.5, 0.001)])
         assert "frs1" in str(err.value)
 
     def test_ragged_missing_cell(self):
-        records = self.fixture_records()[:-1]
+        rows = self.fixture_rows()[:-1]
         with pytest.raises(RaggedDataError):
-            gmap(records, [FrsThreshold("frs1", 0.5, 0.001)])
+            gmap(from_rows(rows), [FrsThreshold("frs1", 0.5, 0.001)])
 
     def test_duplicate_cell(self):
-        records = self.fixture_records() + [record("A", "frs1", 1, 0.1, 0.1)]
+        rows = self.fixture_rows() + [score_row("A", "frs1", 1, 0.1, 0.1)]
         with pytest.raises(RaggedDataError):
-            gmap(records, [FrsThreshold("frs1", 0.5, 0.001)])
+            gmap(from_rows(rows), [FrsThreshold("frs1", 0.5, 0.001)])
 
     def test_empty_records(self):
         with pytest.raises(EmptyScoresError):
-            gmap([], [FrsThreshold("frs1", 0.5, 0.001)])
+            gmap(from_rows([]), [FrsThreshold("frs1", 0.5, 0.001)])
 
 
 class TestGmapMa:
     def test_hand_counted_75(self):
-        records = TestGmapFixtures().fixture_records()
-        assert gmap_ma(records, FrsThreshold("frs1", 0.5, 0.001)) == pytest.approx(
+        rows = TestGmapFixtures().fixture_rows()
+        assert gmap_ma(from_rows(rows), FrsThreshold("frs1", 0.5, 0.001)) == pytest.approx(
             75.0, abs=1e-12
         )
 
     def test_single_cell_success(self):
         assert gmap_ma(
-            [record("A", "frs1", 1, 0.9, 0.8)], FrsThreshold("frs1", 0.5, 0.001)
+            from_rows([score_row("A", "frs1", 1, 0.9, 0.8)]), FrsThreshold("frs1", 0.5, 0.001)
         ) == 100.0
 
     def test_matches_gmap_on_random_tables(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            records, taus, thresholds, _ = random_table(rng, n_frs=1)
-            expected = gmap(records, thresholds, FtarTable())
-            assert gmap_ma(records, thresholds[0]) == pytest.approx(expected, abs=1e-12)
+            rows, taus, thresholds, _ = random_table(rng, n_frs=1)
+            expected = gmap(from_rows(rows), thresholds, FtarTable())
+            assert gmap_ma(from_rows(rows), thresholds[0]) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_multiple_types(self):
-        records = [
-            record("A", "frs1", 1, 0.9, 0.8, morph_type="x"),
-            record("B", "frs1", 1, 0.9, 0.8, morph_type="y"),
+        rows = [
+            score_row("A", "frs1", 1, 0.9, 0.8, morph_type="x"),
+            score_row("B", "frs1", 1, 0.9, 0.8, morph_type="y"),
         ]
         with pytest.raises(ValueError):
-            gmap_ma(records, FrsThreshold("frs1", 0.5, 0.001))
+            gmap_ma(from_rows(rows), FrsThreshold("frs1", 0.5, 0.001))
 
 
 class TestGmapMamf:
     def test_dominated_by_failing_system(self):
-        records = [
-            record("A", "frs1", 1, 0.9, 0.9),
-            record("A", "frs2", 1, 0.1, 0.1),
-            record("B", "frs1", 1, 0.9, 0.9),
-            record("B", "frs2", 1, 0.2, 0.1),
+        rows = [
+            score_row("A", "frs1", 1, 0.9, 0.9),
+            score_row("A", "frs2", 1, 0.1, 0.1),
+            score_row("B", "frs1", 1, 0.9, 0.9),
+            score_row("B", "frs2", 1, 0.2, 0.1),
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
-        assert gmap_mamf(records, thresholds) == 0.0
+        assert gmap_mamf(from_rows(rows), thresholds) == 0.0
 
     def test_equal_outcomes_match_single_system(self):
-        records = [
-            record("A", "frs1", 1, 0.9, 0.9),
-            record("A", "frs2", 1, 0.8, 0.7),
-            record("B", "frs1", 1, 0.1, 0.9),
-            record("B", "frs2", 1, 0.2, 0.1),
+        rows = [
+            score_row("A", "frs1", 1, 0.9, 0.9),
+            score_row("A", "frs2", 1, 0.8, 0.7),
+            score_row("B", "frs1", 1, 0.1, 0.9),
+            score_row("B", "frs2", 1, 0.2, 0.1),
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
         expected = gmap_ma(
-            [r for r in records if r.frs_id == "frs1"], thresholds[0]
+            from_rows([r for r in rows if r.frs_id == "frs1"]), thresholds[0]
         )
-        assert gmap_mamf(records, thresholds) == pytest.approx(expected, abs=1e-12)
+        assert gmap_mamf(from_rows(rows), thresholds) == pytest.approx(expected, abs=1e-12)
 
     def test_hand_counted_50(self):
         # per-cell minima {1, 0} -> 50
-        records = [
-            record("A", "frs1", 1, 0.9, 0.9),
-            record("A", "frs2", 1, 0.8, 0.7),
-            record("B", "frs1", 1, 0.9, 0.9),
-            record("B", "frs2", 1, 0.2, 0.1),
+        rows = [
+            score_row("A", "frs1", 1, 0.9, 0.9),
+            score_row("A", "frs2", 1, 0.8, 0.7),
+            score_row("B", "frs1", 1, 0.9, 0.9),
+            score_row("B", "frs2", 1, 0.2, 0.1),
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
-        assert gmap_mamf(records, thresholds) == pytest.approx(50.0, abs=1e-12)
+        assert gmap_mamf(from_rows(rows), thresholds) == pytest.approx(50.0, abs=1e-12)
 
     def test_rejects_multiple_types(self):
-        records = [
-            record("A", "frs1", 1, 0.9, 0.8, morph_type="x"),
-            record("A", "frs2", 1, 0.9, 0.8, morph_type="x"),
-            record("B", "frs1", 1, 0.9, 0.8, morph_type="y"),
-            record("B", "frs2", 1, 0.9, 0.8, morph_type="y"),
+        rows = [
+            score_row("A", "frs1", 1, 0.9, 0.8, morph_type="x"),
+            score_row("A", "frs2", 1, 0.9, 0.8, morph_type="x"),
+            score_row("B", "frs1", 1, 0.9, 0.8, morph_type="y"),
+            score_row("B", "frs2", 1, 0.9, 0.8, morph_type="y"),
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
         with pytest.raises(ValueError, match="expected a single morph type"):
-            gmap_mamf(records, thresholds)
+            gmap_mamf(from_rows(rows), thresholds)
 
     def test_requires_two_systems(self):
-        records = [record("A", "frs1", 1, 0.9, 0.9)]
+        rows = [score_row("A", "frs1", 1, 0.9, 0.9)]
         with pytest.raises(ValueError):
-            gmap_mamf(records, [FrsThreshold("frs1", 0.5, 0.001)])
+            gmap_mamf(from_rows(rows), [FrsThreshold("frs1", 0.5, 0.001)])
 
 
 class TestOracleEquivalence:
@@ -351,9 +364,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(13)
         for trial in range(60):
             n_types = int(rng.integers(1, 4))
-            records, taus, thresholds, ftar_map = random_table(rng, n_types=n_types)
-            expected = oracle_gmap(records, taus, ftar_map)
-            value = gmap(records, thresholds, FtarTable(ftar_map))
+            rows, taus, thresholds, ftar_map = random_table(rng, n_types=n_types)
+            expected = oracle_gmap(rows, taus, ftar_map)
+            value = gmap(from_rows(rows), thresholds, FtarTable(ftar_map))
             assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -361,58 +374,58 @@ class TestMetricProperties:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
-            records, taus, thresholds, _ = random_table(rng)
+            rows, taus, thresholds, _ = random_table(rng)
             raised = [FrsThreshold(t.frs_id, t.tau + 0.05, t.fmr_target) for t in thresholds]
-            assert gmap(records, raised) <= gmap(records, thresholds) + 1e-12
+            assert gmap(from_rows(rows), raised) <= gmap(from_rows(rows), thresholds) + 1e-12
 
     def test_mamf_bounded_by_min_single_system(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
-            records, taus, thresholds, _ = random_table(rng, n_frs=int(rng.integers(2, 6)))
+            rows, taus, thresholds, _ = random_table(rng, n_frs=int(rng.integers(2, 6)))
             threshold_map = {t.frs_id: t for t in thresholds}
             per_frs = [
-                gmap_ma([r for r in records if r.frs_id == f], threshold_map[f])
-                for f in sorted({r.frs_id for r in records})
+                gmap_ma(from_rows([r for r in rows if r.frs_id == f]), threshold_map[f])
+                for f in sorted({r.frs_id for r in rows})
             ]
-            assert gmap_mamf(records, thresholds) <= min(per_frs) + 1e-12
+            assert gmap_mamf(from_rows(rows), thresholds) <= min(per_frs) + 1e-12
 
     def test_quadrant_one_fraction_equals_gmap_ma(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            records, taus, thresholds, _ = random_table(rng, n_frs=1)
+            rows, taus, thresholds, _ = random_table(rng, n_frs=1)
             th = thresholds[0]
-            count_one = sum(1 for r in records if quadrant_classify(r, th) == "I")
-            fraction = count_one / len(records)
-            assert fraction == pytest.approx(gmap_ma(records, th) / 100.0, abs=1e-12)
+            count_one = sum(1 for r in rows if quadrant_classify(r.score_s1, r.score_s2, th) == "I")
+            fraction = count_one / len(rows)
+            assert fraction == pytest.approx(gmap_ma(from_rows(rows), th) / 100.0, abs=1e-12)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(29)
-        records, taus, thresholds, ftar_map = random_table(rng)
+        rows, taus, thresholds, ftar_map = random_table(rng)
         ftar = FtarTable(ftar_map)
-        base = gmap(records, thresholds, ftar)
-        shuffled = list(records)
+        base = gmap(from_rows(rows), thresholds, ftar)
+        shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert gmap(shuffled, thresholds, ftar) == base
+        assert gmap(from_rows(shuffled), thresholds, ftar) == base
 
 
 class TestBuildReport:
     def make_inputs(self):
-        records = [
-            record("A", "frs1", 1, 0.6, 0.7),
-            record("A", "frs1", 2, 0.6, 0.4),
-            record("B", "frs1", 1, 0.8, 0.9),
-            record("B", "frs1", 2, 0.7, 0.6),
-            record("A", "frs2", 1, 0.9, 0.9),
-            record("A", "frs2", 2, 0.1, 0.1),
-            record("B", "frs2", 1, 0.9, 0.9),
-            record("B", "frs2", 2, 0.9, 0.9),
+        rows = [
+            score_row("A", "frs1", 1, 0.6, 0.7),
+            score_row("A", "frs1", 2, 0.6, 0.4),
+            score_row("B", "frs1", 1, 0.8, 0.9),
+            score_row("B", "frs1", 2, 0.7, 0.6),
+            score_row("A", "frs2", 1, 0.9, 0.9),
+            score_row("A", "frs2", 2, 0.1, 0.1),
+            score_row("B", "frs2", 1, 0.9, 0.9),
+            score_row("B", "frs2", 2, 0.9, 0.9),
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
-        return records, thresholds
+        return rows, thresholds
 
     def test_report_values(self):
-        records, thresholds = self.make_inputs()
-        report = build_report(records, thresholds)
+        rows, thresholds = self.make_inputs()
+        report = build_report(from_rows(rows), thresholds)
         assert report.per_frs["frs1"] == pytest.approx(75.0, abs=1e-12)
         assert report.per_frs["frs2"] == pytest.approx(75.0, abs=1e-12)
         # per-cell minima: A1=1, A2=0, B1=1, B2=min(1,1)=1 -> 75
@@ -422,36 +435,36 @@ class TestBuildReport:
         assert report.quadrant_counts["frs1"] == {"I": 3, "II": 0, "III": 0, "IV": 1}
 
     def test_report_ignores_ftar_for_per_frs(self):
-        records, thresholds = self.make_inputs()
+        rows, thresholds = self.make_inputs()
         ftar = FtarTable({(2, "frs1"): 1.0, (2, "frs2"): 1.0})
-        report = build_report(records, thresholds, ftar)
+        report = build_report(from_rows(rows), thresholds, ftar)
         assert report.per_frs["frs1"] == pytest.approx(75.0, abs=1e-12)
         assert report.cross_frs < 75.0
 
     def test_report_requires_all_thresholds(self):
-        records, thresholds = self.make_inputs()
+        rows, thresholds = self.make_inputs()
         with pytest.raises(MissingThresholdError) as err:
-            build_report(records, thresholds[:1])
+            build_report(from_rows(rows), thresholds[:1])
         assert "frs2" in str(err.value)
 
     def test_single_system_report_cross_equals_per_frs(self):
-        records, thresholds = self.make_inputs()
-        single = [r for r in records if r.frs_id == "frs1"]
-        report = build_report(single, thresholds[:1])
+        rows, thresholds = self.make_inputs()
+        single = [r for r in rows if r.frs_id == "frs1"]
+        report = build_report(from_rows(single), thresholds[:1])
         assert report.cross_frs == report.per_frs["frs1"]
 
     def test_ragged_table_names_the_same_cell_as_gmap(self):
-        records = [
-            record("A", "frs1", 1, 0.6, 0.7),
-            record("A", "frs1", 2, 0.6, 0.7),
-            record("B", "frs1", 1, 0.6, 0.7),
-            record("A", "frs2", 1, 0.6, 0.7),
+        rows = [
+            score_row("A", "frs1", 1, 0.6, 0.7),
+            score_row("A", "frs1", 2, 0.6, 0.7),
+            score_row("B", "frs1", 1, 0.6, 0.7),
+            score_row("A", "frs2", 1, 0.6, 0.7),
         ]
         thresholds = [FrsThreshold("frs1", 0.5, 0.001), FrsThreshold("frs2", 0.5, 0.001)]
         with pytest.raises(RaggedDataError) as from_gmap:
-            gmap(records, thresholds)
+            gmap(from_rows(rows), thresholds)
         with pytest.raises(RaggedDataError) as from_report:
-            build_report(records, thresholds)
+            build_report(from_rows(rows), thresholds)
         assert "morph='A' attempt=2 frs='frs2'" in str(from_gmap.value)
         assert str(from_report.value) == str(from_gmap.value)
 
@@ -459,78 +472,78 @@ class TestBuildReport:
         rng = np.random.default_rng(29)
         for n_types in (1, 2, 3):
             for _ in range(10):
-                records, _, thresholds, ftar_map = random_table(rng, n_types=n_types)
+                rows, _, thresholds, ftar_map = random_table(rng, n_types=n_types)
                 ftar = FtarTable(ftar_map)
-                report = build_report(records, thresholds, ftar)
-                assert report.cross_frs == gmap(records, thresholds, ftar)
+                report = build_report(from_rows(rows), thresholds, ftar)
+                assert report.cross_frs == gmap(from_rows(rows), thresholds, ftar)
                 for threshold in thresholds:
-                    subset = [r for r in records if r.frs_id == threshold.frs_id]
-                    assert report.per_frs[threshold.frs_id] == gmap(subset, [threshold])
-                for morph_type in sorted({r.morph_type for r in records}):
-                    typed = [r for r in records if r.morph_type == morph_type]
-                    typed_report = build_report(typed, thresholds, ftar)
-                    assert typed_report.cross_frs == gmap(typed, thresholds, ftar)
+                    subset = [r for r in rows if r.frs_id == threshold.frs_id]
+                    assert report.per_frs[threshold.frs_id] == gmap(from_rows(subset), [threshold])
+                for morph_type in sorted({r.morph_type for r in rows}):
+                    typed = [r for r in rows if r.morph_type == morph_type]
+                    typed_report = build_report(from_rows(typed), thresholds, ftar)
+                    assert typed_report.cross_frs == gmap(from_rows(typed), thresholds, ftar)
                     for threshold in thresholds:
                         subset = [r for r in typed if r.frs_id == threshold.frs_id]
-                        assert typed_report.per_frs[threshold.frs_id] == gmap_ma(subset, threshold)
+                        assert (typed_report.per_frs[threshold.frs_id]
+                                == gmap_ma(from_rows(subset), threshold))
 
     def test_report_does_not_call_gmap(self, monkeypatch):
-        records, thresholds = self.make_inputs()
-        expected = build_report(records, thresholds)
+        rows, thresholds = self.make_inputs()
+        expected = build_report(from_rows(rows), thresholds)
 
         def no_gmap(*args, **kwargs):
             raise AssertionError("gmap called")
 
         monkeypatch.setattr(metrics, "gmap", no_gmap)
-        assert build_report(records, thresholds) == expected
+        assert build_report(from_rows(rows), thresholds) == expected
 
 
 class TestScoreTable:
     def test_sequence_of_records(self):
-        records = TestBuildReport().make_inputs()[0] + [
-            record("C", "frs1", 3, 0.9, 0.8, morph_type="other"),
+        rows = TestBuildReport().make_inputs()[0] + [
+            score_row("C", "frs1", 3, 0.9, 0.8, morph_type="other"),
         ]
-        table = ScoreTable.from_records(records)
-        assert len(table) == len(records)
-        assert table_rows(table) == record_rows(records)
-        assert table.scores.shape == (len(records), 2)
+        table = from_rows(rows)
+        assert len(table) == len(rows)
+        assert table_rows(table) == rows
+        assert table.scores.shape == (len(rows), 2)
         assert table.morph_ids == ("A", "B", "C")
         assert table.morph_types == ("default", "other")
         assert table.frs_ids == ("frs1", "frs2")
-        assert ScoreTable.from_records(table) is table
 
     def test_table_path_matches_record_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
-            records, taus, thresholds, ftar_map = random_table(
+            rows, taus, thresholds, ftar_map = random_table(
                 rng, n_types=int(rng.integers(1, 4)), n_morphs=int(rng.integers(2, 9))
             )
-            rng.shuffle(records)
+            rng.shuffle(rows)
             ftar = FtarTable(ftar_map)
-            table = ScoreTable.from_records(records)
-            assert table_rows(table) == record_rows(records)
+            table = from_rows(rows)
+            assert table_rows(table) == rows
             assert gmap(table, thresholds, ftar) == pytest.approx(
-                oracle_gmap(records, taus, ftar_map), abs=1e-12
+                oracle_gmap(rows, taus, ftar_map), abs=1e-12
             )
-            report = build_report(records, thresholds, ftar)
-            assert report.cross_frs == gmap(records, thresholds, ftar)
-            assert report.quadrant_counts == oracle_quadrant_counts(records, taus)
+            report = build_report(from_rows(rows), thresholds, ftar)
+            assert report.cross_frs == gmap(from_rows(rows), thresholds, ftar)
+            assert report.quadrant_counts == oracle_quadrant_counts(rows, taus)
             assert quadrant_counts(table, thresholds) == report.quadrant_counts
-            assert report.n_morphs == len({(r.morph_type, r.morph_id) for r in records})
+            assert report.n_morphs == len({(r.morph_type, r.morph_id) for r in rows})
 
-            dropped = list(records)
+            dropped = list(rows)
             del dropped[int(rng.integers(len(dropped)))]
-            copy = records[int(rng.integers(len(records)))]
-            doubled = list(records)
-            doubled.insert(int(rng.integers(len(records) + 1)), record(
-                copy.morph_id, copy.frs_id, copy.attempt_index, 0.5, 0.5, copy.morph_type))
+            copy = rows[int(rng.integers(len(rows)))]
+            doubled = list(rows)
+            doubled.insert(int(rng.integers(len(rows) + 1)), score_row(
+                copy.morph_id, copy.frs_id, copy.attempt, 0.5, 0.5, copy.morph_type))
             for broken in (dropped, doubled, dropped + doubled[:3]):
                 expected = oracle_ragged_message(broken)
                 if expected is None:  # a dropped lone cell can leave a rectangle
                     continue
                 for compute in (gmap, build_report):
                     with pytest.raises(RaggedDataError) as err:
-                        compute(broken, thresholds, ftar)
+                        compute(from_rows(broken), thresholds, ftar)
                     assert str(err.value) == expected
 
             kept = [t for t in thresholds if t.frs_id != sorted(taus)[0]]
@@ -540,16 +553,16 @@ class TestScoreTable:
                 assert str(err.value) == f"no threshold for frs_id {sorted(taus)[0]!r}"
 
     def test_n_morphs_counts_type_morph_rows(self):
-        records = [
-            record("A", "frs1", 1, 0.9, 0.8, morph_type="t1"),
-            record("A", "frs1", 1, 0.9, 0.8, morph_type="t2"),
-            record("B", "frs1", 1, 0.9, 0.8, morph_type="t2"),
+        rows = [
+            score_row("A", "frs1", 1, 0.9, 0.8, morph_type="t1"),
+            score_row("A", "frs1", 1, 0.9, 0.8, morph_type="t2"),
+            score_row("B", "frs1", 1, 0.9, 0.8, morph_type="t2"),
         ]
-        assert build_report(records, [FrsThreshold("frs1", 0.5, 0.001)]).n_morphs == 3
+        assert build_report(from_rows(rows), [FrsThreshold("frs1", 0.5, 0.001)]).n_morphs == 3
 
     def test_read_keeps_no_object_per_row(self, tmp_path):
         # typed columns take 36 B per row (three int32 codes, an int64
-        # attempt, two float64 scores); one ScoreRecord per row took ~370 B
+        # attempt, two float64 scores); one Python object per row took ~370 B
         rng = np.random.default_rng(43)
         rows = 20000
         lines = ["morph_id,morph_type,frs_id,attempt,score_s1,score_s2"]
@@ -684,9 +697,29 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="must be >= 1"):
             FtarTable({(attempt, "frs1"): 0.2})
 
+    @pytest.mark.parametrize("attempt", [1.5, True, 2**63], ids=["float", "bool", "2**63"])
+    def test_ftar_table_and_reader_share_the_entry_rule(self, attempt, tmp_path):
+        # FtarTable({(1.5, "A"): 0.1}) was read as attempt 1
+        path = tmp_path / "ftar.csv"
+        path.write_text(f"frs_id,attempt,ftar\nA,{attempt},0.1\n")
+        with pytest.raises(ValueError) as from_csv:
+            read_ftar_csv(path)
+        with pytest.raises(ValueError) as in_memory:
+            FtarTable({(attempt, "A"): 0.1})
+        assert str(from_csv.value) == f"{path}: row 2: {in_memory.value}"
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_ftar_rate_outside_unit_interval(self, rate, tmp_path):
+        with pytest.raises(ValueError, match=r"for frs_id 'A' must lie in \[0, 1\]"):
+            FtarTable({(1, "A"): rate})
+        path = tmp_path / "ftar.csv"
+        path.write_text(f"frs_id,attempt,ftar\nA,1,{rate}\n")
+        with pytest.raises(ValueError, match=r"row 2: FTAR .* must lie in \[0, 1\]"):
+            read_ftar_csv(path)
+
     def test_report_csv_format(self, tmp_path):
-        records, thresholds = TestBuildReport().make_inputs()
-        report = build_report(records, thresholds)
+        rows, thresholds = TestBuildReport().make_inputs()
+        report = build_report(from_rows(rows), thresholds)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         lines = path.read_text().strip().splitlines()
@@ -695,39 +728,62 @@ class TestCsvInterfaces:
         assert lines[-1] == "MAMF,75.000000"
 
     def test_scatter_csv_format(self, tmp_path):
-        records, thresholds = TestBuildReport().make_inputs()
+        rows, thresholds = TestBuildReport().make_inputs()
         path = tmp_path / "scatter.csv"
-        write_scatter_csv(records, thresholds, path)
+        write_scatter_csv(from_rows(rows), thresholds, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "morph_id,frs_id,attempt,score_s1,score_s2,quadrant"
-        assert len(lines) == 1 + len(records)
+        assert len(lines) == 1 + len(rows)
         assert lines[1] == "A,frs1,1,0.6,0.7,I"
         assert lines[2] == "A,frs1,2,0.6,0.4,IV"
 
     def test_scatter_csv_rejects_bad_records_before_writing(self, tmp_path):
-        records, thresholds = TestBuildReport().make_inputs()
+        rows, thresholds = TestBuildReport().make_inputs()
         path = tmp_path / "scatter.csv"
         with pytest.raises(MissingThresholdError):
-            write_scatter_csv(records + [record("C", "frs3", 1, 0.9, 0.8)], thresholds, path)
+            write_scatter_csv(from_rows([*rows, score_row("C", "frs3", 1, 0.9, 0.8)]),
+                              thresholds, path)
         assert not path.exists()
 
     def test_quadrant_counts_match_report(self):
-        records, thresholds = TestBuildReport().make_inputs()
-        counts = quadrant_counts(records, thresholds)
-        assert counts == build_report(records, thresholds).quadrant_counts
+        rows, thresholds = TestBuildReport().make_inputs()
+        counts = quadrant_counts(from_rows(rows), thresholds)
+        assert counts == build_report(from_rows(rows), thresholds).quadrant_counts
         assert list(counts) == ["frs1", "frs2"]
         with pytest.raises(MissingThresholdError):
-            quadrant_counts(records, thresholds[:1])
+            quadrant_counts(from_rows(rows), thresholds[:1])
 
-    def test_score_record_validation(self):
+    def test_from_rows_validation(self):
+        # a row holds six fields, so one with other than two scores is a
+        # call with the wrong number of arguments
         for scores in ((0.5,), (0.5, 0.6, 0.7)):
-            with pytest.raises(ValueError):
-                ScoreRecord("m", "A", 1, scores)
-        with pytest.raises(ValueError):
-            ScoreRecord("m", "A", 0, (0.5, 0.6))
+            with pytest.raises(TypeError):
+                from_rows([("m", "default", "A", 1, *scores)])
+        with pytest.raises(ValueError, match="attempt 0 must be >= 1"):
+            from_rows([score_row("m", "A", 0, 0.5, 0.6)])
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(ValueError, match="finite"):
-                ScoreRecord("m", "A", 1, (float(bad), 0.6))
+                from_rows([score_row("m", "A", 1, float(bad), 0.6)])
+        with pytest.raises(EmptyScoresError, match="no score rows"):
+            from_rows([])
+
+    @pytest.mark.parametrize("attempt", [1.5, True, 2**63], ids=["float", "bool", "2**63"])
+    def test_from_rows_attempt_gets_the_csv_message(self, attempt, tmp_path):
+        # an in-memory attempt passes the rule the CSV reader applies to its
+        # text: 1.5 and True were read as attempt 1, and 2**63 failed later
+        path = tmp_path / "scores.csv"
+        path.write_text("morph_id,morph_type,frs_id,attempt,score_s1,score_s2\n"
+                        f"A,default,frs1,{attempt},0.9,0.8\n")
+        with pytest.raises(ValueError) as from_csv:
+            read_scores_csv(path)
+        with pytest.raises(ValueError) as in_memory:
+            from_rows([score_row("A", "frs1", attempt, 0.9, 0.8)])
+        assert str(from_csv.value) == f"{path}: row 2: {in_memory.value}"
+
+    def test_from_rows_reads_each_row_in_column_order(self):
+        table = from_rows([("m1", "t", "frs2", "2", "0.25", 0.5), ("m0", "t", "frs1", 1, 1, 2)])
+        assert table_rows(table) == [("m1", "t", "frs2", 2, 0.25, 0.5),
+                                     ("m0", "t", "frs1", 1, 1.0, 2.0)]
 
 
 # Every CSV input is read by one row rule. Per reader: its function, its
