@@ -17,7 +17,8 @@ the residual variance stalls:
 
 Registration runs in normalized coordinates (both clouds centered and
 scaled to unit RMS radius) so the hyperparameters are independent of the
-physical units; results carry the normalization records needed to map back.
+physical units; results carry the normalization records, each the
+similarity transform from normalized coordinates back to its cloud's units.
 
 Everything the updates read that does not change between iterations (the
 source cloud, the parameters, the source Gram matrix, the outlier density
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from . import kernel
-from .cloudio import NormalizationRecord, PointCloud, denormalize, normalize
+from .cloudio import PointCloud, SimilarityTransform, denormalize, normalize
 from .errors import DegenerateGeometryError, ShapeMismatchError
 from .kernel import GramMatrix, build_gram, field_posterior
 
@@ -56,42 +57,6 @@ MASS_EPS = 1e-12
 # and keeps exp and the matrix product off their subnormal and underflow
 # paths, which run one to two orders of magnitude slower.
 LOG_FLOOR = -600.0
-
-
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """Uniform scale, proper rotation, and translation: p -> s * R @ p + t."""
-
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.array(self.rotation, dtype=np.float64, copy=True)
-        t = np.array(self.translation, dtype=np.float64, copy=True).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if not 0 < self.scale < math.inf:
-            raise ValueError("scale must be positive and finite")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValueError("rotation and translation must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-8:
-            raise ValueError("rotation must be orthogonal within 1e-8")
-        if abs(float(np.linalg.det(r)) - 1.0) > 1e-8:
-            raise ValueError("rotation must be proper (det +1)")
-        r.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "SimilarityTransform":
-        return cls(1.0, np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map an (N, 3) array of points through the transform."""
-        return self.scale * (np.asarray(points, dtype=np.float64) @ self.rotation.T) + self.translation
 
 
 @dataclass(frozen=True)
@@ -521,8 +486,8 @@ class RegistrationResult:
     state: RegistrationState
     source_normalized: PointCloud
     target_normalized: PointCloud
-    source_record: NormalizationRecord
-    target_record: NormalizationRecord
+    source_record: SimilarityTransform
+    target_record: SimilarityTransform
     converged: bool
     iterations: int
     sigma2_history: tuple[float, ...]

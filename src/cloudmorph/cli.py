@@ -82,10 +82,11 @@ def load_config(path, subparsers: dict) -> dict:
     ``subparsers`` maps command names to their parsers, as
     :func:`build_parser` returns them; each value is parsed by its flag's
     own type. Blank lines and lines starting with '#' are ignored; unknown
-    keys are an error so typos fail loudly.
+    keys are an error so typos fail loudly, and so is a key given twice.
     """
     keys = _config_keys(subparsers)
     defaults = {}
+    seen = {}  # key -> line it was first given on
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -100,6 +101,10 @@ def load_config(path, subparsers: dict) -> dict:
         key = key.strip()
         if key not in keys:
             raise ValueError(f"{path}: line {line_num}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}: line {line_num}: config key {key!r} "
+                             f"already given on line {seen[key]}")
+        seen[key] = line_num
         action = keys[key]
         parse = _parse_bool if action.nargs == 0 else (action.type or str)
         try:
@@ -246,7 +251,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     write_csv_rows(
         out / "normalization.csv",
         ["cloud", "cx", "cy", "cz", "scale"],
-        [[name, *record.centroid.tolist(), record.scale]
+        [[name, *record.translation.tolist(), record.scale]
          for name, record in (("source", result.source_record), ("target", result.target_record))],
     )
     save_ply(result.aligned_source(), out / "aligned_source.ply")

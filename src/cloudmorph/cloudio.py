@@ -1,4 +1,5 @@
-"""Colored point-cloud container plus PLY I/O, normalization, and downsampling.
+"""Colored point-cloud container, similarity maps, PLY I/O, normalization, and
+downsampling.
 
 The interchange format is PLY with per-vertex ``x y z`` floats and 8-bit
 ``red green blue`` channels. Both ASCII and binary-little-endian files are
@@ -89,27 +90,47 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class NormalizationRecord:
-    """Centroid/scale pair mapping a cloud to zero mean and unit RMS radius."""
+class SimilarityTransform:
+    """Uniform scale, proper rotation, and translation: p -> s * R @ p + t."""
 
-    centroid: np.ndarray
     scale: float
+    rotation: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.centroid, dtype=np.float64, copy=True).reshape(3)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("centroid must be finite")
+        r = np.array(self.rotation, dtype=np.float64, copy=True)
+        t = np.array(self.translation, dtype=np.float64, copy=True).reshape(3)
+        if r.shape != (3, 3):
+            raise ValueError(f"rotation must be 3x3, got {r.shape}")
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be positive and finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "centroid", c)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise ValueError("rotation and translation must be finite")
+        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-8:
+            raise ValueError("rotation must be orthogonal within 1e-8")
+        if abs(float(np.linalg.det(r)) - 1.0) > 1e-8:
+            raise ValueError("rotation must be proper (det +1)")
+        r.setflags(write=False)
+        t.setflags(write=False)
         object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def identity(cls) -> "SimilarityTransform":
+        return cls(1.0, np.eye(3), np.zeros(3))
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        """Map an (N, 3) array of points through the transform."""
+        return self.scale * (np.asarray(points, dtype=np.float64) @ self.rotation.T) + self.translation
 
 
-def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationRecord]:
+def normalize(cloud: PointCloud) -> tuple[PointCloud, SimilarityTransform]:
     """Center the cloud on its centroid and rescale so the RMS vertex norm is 1.
 
-    Colors are untouched. Raises :class:`DegenerateCloudError` when every
+    Returns the normalized cloud and the map back from it to the cloud's
+    units: the RMS radius as scale, no rotation, the centroid as
+    translation. Colors are untouched. Raises :class:`DegenerateCloudError` when every
     vertex equals the first, checked exactly before any arithmetic, and
     when the cloud's points are distinct but its RMS radius underflows
     float64 (the scale would be zero) or overflows it (the scale would be
@@ -128,14 +149,12 @@ def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationRecord]:
         raise DegenerateCloudError(f"cloud {cloud.id!r} is too large to normalize: "
                                    "its RMS radius overflows float64")
     out = PointCloud(centered / scale, cloud.colors, cloud.id)
-    return out, NormalizationRecord(centroid, scale)
+    return out, SimilarityTransform(scale, np.eye(3), centroid)
 
 
-def denormalize(cloud: PointCloud, record: NormalizationRecord) -> PointCloud:
-    """Invert :func:`normalize`: scale back up and restore the centroid."""
-    return PointCloud(
-        cloud.vertices * record.scale + record.centroid, cloud.colors, cloud.id
-    )
+def denormalize(cloud: PointCloud, record: SimilarityTransform) -> PointCloud:
+    """Invert :func:`normalize`: map the vertices through its record."""
+    return PointCloud(record.apply(cloud.vertices), cloud.colors, cloud.id)
 
 
 def downsample(cloud: PointCloud, target_count: int, seed: int) -> PointCloud:

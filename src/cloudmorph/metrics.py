@@ -91,9 +91,10 @@ class ScoreTable:
     def from_rows(cls, rows) -> ScoreTable:
         """The table of ``rows``, each ``(morph_id, morph_type, frs_id,
         attempt, score_s1, score_s2)`` in SCORES_COLUMNS order and checked by
-        the rule read_scores_csv applies, with its messages; EmptyScoresError
-        when there are none."""
-        table = cls._from_rows(_score_row(*row) for row in rows)
+        the rule read_scores_csv applies, with its messages; a row of another
+        length raises a ValueError naming its 1-based position, and
+        EmptyScoresError is raised when there are none."""
+        table = cls._from_rows(_sized_score_row(n, *row) for n, row in enumerate(rows, 1))
         if not len(table):
             raise EmptyScoresError("no score rows")
         return table
@@ -401,6 +402,12 @@ def _score_row(morph_id, morph_type, frs_id, attempt, s1, s2) -> tuple:
     if not (math.isfinite(scores[0]) and math.isfinite(scores[1])):
         raise ValueError("subject scores must be finite")
     return morph_id, morph_type, frs_id, attempt, scores
+
+
+def _sized_score_row(n, *fields) -> tuple:
+    if len(fields) != len(SCORES_COLUMNS):
+        raise ValueError(f"row {n} has {len(fields)} fields, not {len(SCORES_COLUMNS)}")
+    return _score_row(*fields)
 
 
 def read_scores_csv(path) -> ScoreTable:

@@ -79,7 +79,7 @@ def test_criterion_2_rigid_recovery():
             )
             moved = (
                 result.state.moved_source * result.target_record.scale
-                + result.target_record.centroid
+                + result.target_record.translation
             )
             assert rms(moved, noisy) <= 0.05, f"seed {seed}"
             converged += result.converged
@@ -103,7 +103,7 @@ def test_criterion_3_nonrigid_recovery():
             )
             moved = (
                 result.state.moved_source * result.target_record.scale
-                + result.target_record.centroid
+                + result.target_record.translation
             )
             post = rms(moved, deformed)
             assert post <= 0.03, f"seed {seed}: post {post:.4f}"

@@ -26,7 +26,7 @@ from cloudmorph import (
     update_displacement,
     update_similarity,
 )
-from cloudmorph import bcpd, kernel
+from cloudmorph import bcpd, cloudio, kernel
 from cloudmorph.bcpd import SIGMA2_FLOOR
 from cloudmorph.errors import DegenerateGeometryError, ShapeMismatchError
 from conftest import make_cloud, make_normalized_points, rms
@@ -121,6 +121,13 @@ class TestSimilarityTransform:
         tr = SimilarityTransform(2.0, rot, [1.0, 0.0, 0.0])
         out = tr.apply(np.array([[1.0, 0.0, 0.0]]))
         npt.assert_allclose(out, [[1.0, 2.0, 0.0]], atol=1e-12)
+
+    def test_one_class_in_every_module(self):
+        # normalization records and the registration's transform are one
+        # type; SimilarityTransform here is the package's export
+        assert bcpd.SimilarityTransform is cloudio.SimilarityTransform is SimilarityTransform
+        with pytest.raises(ImportError):
+            from cloudmorph import NormalizationRecord  # noqa: F401
 
 
 class TestRegistrationParams:
@@ -1144,7 +1151,7 @@ class TestRegister:
         result = register(source, target)
         moved = (
             result.state.moved_source * result.target_record.scale
-            + result.target_record.centroid
+            + result.target_record.translation
         )
         assert rms(moved, target_points) <= 0.05
 
@@ -1181,7 +1188,7 @@ class TestRegister:
         aligned = result.aligned_source()
         expected = (
             result.state.moved_source * result.target_record.scale
-            + result.target_record.centroid
+            + result.target_record.translation
         )
         npt.assert_allclose(aligned.vertices, expected, atol=1e-12)
         npt.assert_array_equal(aligned.colors, source.colors)

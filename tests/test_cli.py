@@ -657,6 +657,18 @@ class TestConfigErrorExit:
         assert capsys.readouterr().err == f"error: {config}: line 1: unknown config key 'fmrr'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_duplicate_config_key(self, command, tmp_path, capsys):
+        # like a duplicate row of any CSV input, a repeated key is an error
+        config = tmp_path / "twice.cfg"
+        config.write_text("beta=0.3\n# later\nbeta=0.9\n")
+        out = tmp_path / "o"
+        code = cli.main(self.ARGV[command] + ["--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: line 3: config key 'beta' already given on line 1\n")
+        assert not out.exists()
+
 
 def test_shared_flags_agree():
     """A long flag that several subcommands define parses alike on each, so
@@ -955,8 +967,8 @@ class TestRegisterCsvFiles:
         )
         assert (out / "normalization.csv").read_bytes() == csv_bytes(
             ["cloud", "cx", "cy", "cz", "scale"],
-            [["source", *reprs([*result.source_record.centroid, result.source_record.scale])],
-             ["target", *reprs([*result.target_record.centroid, result.target_record.scale])]],
+            [["source", *reprs([*result.source_record.translation, result.source_record.scale])],
+             ["target", *reprs([*result.target_record.translation, result.target_record.scale])]],
         )
         assert len(result.displacement) == 60
 

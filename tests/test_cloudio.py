@@ -7,8 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from cloudmorph import (
-    NormalizationRecord,
     PointCloud,
+    SimilarityTransform,
     denormalize,
     downsample,
     load_ply,
@@ -536,7 +536,7 @@ class TestNormalize:
         cloud = PointCloud([[1, 0, 0], [-1, 0, 0]], [[0, 0, 0], [1, 1, 1]])
         out, record = normalize(cloud)
         npt.assert_allclose(out.vertices, [[1, 0, 0], [-1, 0, 0]], atol=1e-15)
-        npt.assert_allclose(record.centroid, [0, 0, 0], atol=1e-15)
+        npt.assert_allclose(record.translation, [0, 0, 0], atol=1e-15)
         assert record.scale == pytest.approx(1.0, abs=1e-15)
 
     def test_idempotent_on_normalized(self):
@@ -545,7 +545,7 @@ class TestNormalize:
         twice, record = normalize(once)
         npt.assert_allclose(twice.vertices, once.vertices, atol=1e-12)
         assert record.scale == pytest.approx(1.0, abs=1e-12)
-        npt.assert_allclose(record.centroid, 0.0, atol=1e-12)
+        npt.assert_allclose(record.translation, 0.0, atol=1e-12)
 
     def test_output_is_centered_unit_rms(self):
         cloud = make_cloud(64, seed=12)
@@ -569,9 +569,27 @@ class TestNormalize:
         assert np.max(np.abs(back.vertices - cloud.vertices)) <= 1e-9 * scale
         npt.assert_array_equal(back.colors, cloud.colors)
 
+    # exact zeros are where the identity product could flip a sign: x is -0.0
+    # everywhere, so its centroid is 0; y is 0 on average with one -0.0
+    @pytest.mark.parametrize("verts", [
+        np.random.default_rng(3).normal(size=(40, 3)) * 25.0 + [100.0, -3.0, 7.5],
+        [[-0.0, 1.0, 2.0], [-0.0, -1.0, 3.0], [-0.0, -0.0, -5.0]],
+    ], ids=["offset", "signed-zeros"])
+    def test_round_trip_is_scale_then_centroid_bitwise(self, verts):
+        normalized, record = normalize(PointCloud(verts, np.zeros((len(verts), 3))))
+        expected = normalized.vertices * record.scale + record.translation
+        assert denormalize(normalized, record).vertices.tobytes() == expected.tobytes()
+
+    def test_record_is_a_similarity_transform_without_rotation(self):
+        cloud = make_cloud(20, seed=13)
+        _, record = normalize(cloud)
+        assert isinstance(record, SimilarityTransform)
+        assert np.array_equal(record.rotation, np.eye(3))
+        assert record.translation.tolist() == cloud.vertices.mean(axis=0).tolist()
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            NormalizationRecord([0, 0, 0], 0.0)
+            SimilarityTransform(0.0, np.eye(3), [0, 0, 0])
 
     @pytest.mark.parametrize(
         "centroid, scale",
@@ -580,7 +598,7 @@ class TestNormalize:
     )
     def test_record_must_be_finite(self, centroid, scale):
         with pytest.raises(ValueError, match="must be .*finite"):
-            NormalizationRecord(centroid, scale)
+            SimilarityTransform(scale, np.eye(3), centroid)
 
     # the squared radius overflows at 1e200; at 1e308 the centroid's sum does too
     @pytest.mark.parametrize("size", [1e200, 1e308])

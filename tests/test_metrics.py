@@ -754,11 +754,13 @@ class TestCsvInterfaces:
             quadrant_counts(from_rows(rows), thresholds[:1])
 
     def test_from_rows_validation(self):
-        # a row holds six fields, so one with other than two scores is a
-        # call with the wrong number of arguments
+        # a row holds six fields, so one with other than two scores is named
+        # by its position and field count
+        good = ("m", "default", "A", 1, 0.5, 0.6)
         for scores in ((0.5,), (0.5, 0.6, 0.7)):
-            with pytest.raises(TypeError):
-                from_rows([("m", "default", "A", 1, *scores)])
+            with pytest.raises(ValueError) as err:
+                from_rows([good, ("m", "default", "A", 2, *scores)])
+            assert str(err.value) == f"row 2 has {4 + len(scores)} fields, not 6"
         with pytest.raises(ValueError, match="attempt 0 must be >= 1"):
             from_rows([score_row("m", "A", 0, 0.5, 0.6)])
         for bad in ("nan", "inf", "-inf"):
