@@ -475,22 +475,26 @@ def update_similarity(
 class RegistrationResult:
     """Everything a caller needs to reuse a finished registration.
 
-    The transform and displacement live in normalized coordinates; the two
+    ``state`` is the loop's final state, and ``sigma2_history`` holds the
+    initial residual variance and then one value per iteration; the
+    ``transform``, ``displacement`` and ``iterations`` views read them. The
+    transform and displacement live in normalized coordinates; the two
     records map results back into the original units of either cloud. A run
     that hit the iteration cap is returned with ``converged`` False rather
     than raised, so its best state remains usable.
     """
 
-    transform: SimilarityTransform
-    displacement: np.ndarray
     state: RegistrationState
     source_normalized: PointCloud
     target_normalized: PointCloud
     source_record: SimilarityTransform
     target_record: SimilarityTransform
     converged: bool
-    iterations: int
     sigma2_history: tuple[float, ...]
+
+    transform = property(lambda self: self.state.transform)
+    displacement = property(lambda self: self.state.displacement)
+    iterations = property(lambda self: len(self.sigma2_history) - 1)
 
     def aligned_source(self) -> PointCloud:
         """Source cloud after registration, in the target's original units."""
@@ -521,8 +525,7 @@ def register(
     state = init_state(problem)
     history = [state.sigma2]
     converged = False
-    iterations = 0
-    for iterations in range(1, params.max_iters + 1):
+    for _ in range(params.max_iters):
         moved = state.moved_source
         state = e_step(state, problem)
         state = update_displacement(state, problem)
@@ -535,15 +538,12 @@ def register(
             converged = True
             break
     return RegistrationResult(
-        transform=state.transform,
-        displacement=state.displacement,
         state=state,
         source_normalized=src,
         target_normalized=tgt,
         source_record=src_rec,
         target_record=tgt_rec,
         converged=converged,
-        iterations=iterations,
         sigma2_history=tuple(history),
     )
 

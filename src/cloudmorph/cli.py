@@ -229,32 +229,39 @@ def _outcome(result: RegistrationResult) -> tuple[str, str, int]:
     return "not_converged", "did not converge", 2
 
 
-def _register_pair(args: argparse.Namespace) -> RegistrationResult:
+def _register_pair(args: argparse.Namespace, outputs=()) -> RegistrationResult:
     """``args.source`` registered onto ``args.target``, each read and
-    subsampled; the parameters are checked before either file is read."""
+    subsampled. Before either file is read, the parameters are checked and
+    a path of ``outputs`` that resolves to either input is rejected."""
     params = _params_from_args(args)
+    inputs = {os.path.realpath(args.source), os.path.realpath(args.target)}
+    for path in outputs:
+        if os.path.realpath(path) in inputs:
+            raise ValueError(f"{path} would overwrite an input cloud")
     source, target = (downsample(load_ply(path), args.downsample, args.seed)
                       for path in (args.source, args.target))
     return register(source, target, params)
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    result = _register_pair(args)
+    outputs = [Path(args.out) / name for name in
+               ("transform.csv", "displacements.csv", "normalization.csv", "aligned_source.ply")]
+    transform_csv, displacements_csv, normalization_csv, aligned_ply = outputs
+    result = _register_pair(args, outputs)
     transform = result.transform
     write_csv_rows(
-        out / "transform.csv",
+        transform_csv,
         ["s", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33", "t1", "t2", "t3"],
         [[transform.scale, *transform.rotation.reshape(-1).tolist(), *transform.translation.tolist()]],
     )
-    write_csv_rows(out / "displacements.csv", ["vx", "vy", "vz"], result.displacement.tolist())
+    write_csv_rows(displacements_csv, ["vx", "vy", "vz"], result.displacement.tolist())
     write_csv_rows(
-        out / "normalization.csv",
+        normalization_csv,
         ["cloud", "cx", "cy", "cz", "scale"],
         [[name, *record.translation.tolist(), record.scale]
          for name, record in (("source", result.source_record), ("target", result.target_record))],
     )
-    save_ply(result.aligned_source(), out / "aligned_source.ply")
+    save_ply(result.aligned_source(), aligned_ply)
     _, said, code = _outcome(result)
     print(f"registration {said} after {result.iterations} iterations "
           f"(residual variance {result.state.sigma2:.3e})")

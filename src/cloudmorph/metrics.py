@@ -32,8 +32,10 @@ import csv
 import math
 import warnings
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,6 +54,8 @@ class ScoreTable:
     tuples ``morph_ids``, ``morph_types`` and ``frs_ids``, which list each
     name present once, in sorted order. ``attempt`` holds the attempt
     indices, and ``scores`` is (rows, 2): each row's two subject scores.
+    The five arrays are made read-only, not copied, when the table is
+    built, so no write can skip the row rule.
     """
 
     morph_ids: tuple
@@ -62,6 +66,10 @@ class ScoreTable:
     frs: np.ndarray
     attempt: np.ndarray
     scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.morph, self.morph_type, self.frs, self.attempt, self.scores):
+            column.setflags(write=False)
 
     @classmethod
     def _from_rows(cls, rows) -> ScoreTable:
@@ -123,14 +131,19 @@ class FtarTable:
     """Failure-to-acquire rates keyed by (attempt_index, frs_id).
 
     Attempts count from 1, as in score rows. Missing entries count as zero,
-    so an empty table means perfect acquisition.
+    so an empty table means perfect acquisition. ``rates`` is a read-only
+    view of the checked entries, so no write can skip their check.
     """
 
-    rates: dict = field(default_factory=dict)
+    rates: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         rates = dict(_ftar_entry(f, a, v) for (a, f), v in dict(self.rates).items())
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", MappingProxyType(rates))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled, so pickle and copy rebuild the table
+        return FtarTable, (dict(self.rates),)
 
     def get(self, attempt_index: int, frs_id: str) -> float:
         return self.rates.get((attempt_index, frs_id), 0.0)

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +14,7 @@ from cloudmorph import (
     PointCloud,
     RegistrationParams,
     RegistrationProblem,
+    RegistrationResult,
     SimilarityTransform,
     apply_transform,
     build_gram,
@@ -1032,7 +1033,27 @@ class TestIterationInvariants:
             assert state.sigma2 >= SIGMA2_FLOOR
 
 
+def assert_views_read_the_state(result):
+    assert result.transform is result.state.transform
+    assert result.displacement is result.state.displacement
+    assert result.iterations == len(result.sigma2_history) - 1
+
+
 class TestRegister:
+    def test_result_holds_each_fact_once(self):
+        # the transform, displacement and iteration count are read off the
+        # final state and the variance history, not stored beside them
+        assert [f.name for f in fields(RegistrationResult)] == [
+            "state", "source_normalized", "target_normalized", "source_record",
+            "target_record", "converged", "sigma2_history",
+        ]
+        cloud = make_cloud(30, seed=6)
+        result = register(cloud, cloud, RegistrationParams(max_iters=2))
+        for name, value in (("transform", SimilarityTransform.identity()),
+                            ("displacement", np.zeros((30, 3))), ("iterations", 0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, value)
+
     def test_sigma2_mostly_non_increasing(self):
         # the residual variance may wobble in the first iterations while the
         # transform settles; after iteration 3 it should shrink in nearly
@@ -1161,12 +1182,14 @@ class TestRegister:
         assert result.iterations == 1
         assert result.converged
         assert len(result.sigma2_history) == 2
+        assert_views_read_the_state(result)
 
     def test_zero_tol_never_converges(self):
         cloud = make_cloud(20, seed=7)
         result = register(cloud, cloud, RegistrationParams(tol=0.0, max_iters=3))
         assert not result.converged
         assert result.iterations == 3
+        assert_views_read_the_state(result)
 
     def test_deterministic(self):
         source = make_cloud(80, seed=8, cloud_id="a")

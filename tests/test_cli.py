@@ -95,6 +95,27 @@ class TestRegisterCommand:
         assert (out / "transform.csv").exists()
         assert (out / "aligned_source.ply").exists()
 
+    # any of the four outputs, resolving to the source or to the target
+    @pytest.mark.parametrize("name", ["aligned_source.ply", "transform.csv",
+                                      "displacements.csv", "normalization.csv"])
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_output_over_an_input_exits_1(self, name, role, cloud_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        clobbered = out / name
+        before = cloud_files["a"].read_bytes()
+        clobbered.write_bytes(before)
+        inputs = [clobbered, cloud_files["b"]]
+        if role == "target":
+            inputs.reverse()
+        code = cli.main(["register", *map(str, inputs), "--out", str(out / "sub" / ".."),
+                         "--max-iters", "5"])
+        assert code == 1
+        assert name in capsys.readouterr().err
+        # the check runs before either cloud is read, so nothing is written
+        assert clobbered.read_bytes() == before
+        assert sorted(os.listdir(out)) == sorted([name, "sub"])
+
 
 class TestMorphCommand:
     def test_forced_nonconvergence_exits_2(self, cloud_files, tmp_path):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from collections import namedtuple
 
@@ -552,6 +554,25 @@ class TestScoreTable:
                     compute(table, kept)
                 assert str(err.value) == f"no threshold for frs_id {sorted(taus)[0]!r}"
 
+    def test_arrays_are_read_only_and_not_copied(self, tmp_path):
+        # a write such as table.attempt[0] = 0 would skip the row rule
+        path = tmp_path / "scores.csv"
+        path.write_text("morph_id,morph_type,frs_id,attempt,score_s1,score_s2\n"
+                        "A,default,frs1,1,0.6,0.7\n")
+        columns = (np.zeros(1, np.int32), np.zeros(1, np.int32), np.zeros(1, np.int32),
+                   np.ones(1, np.int64), np.full((1, 2), 0.5))
+        built = ScoreTable(("A",), ("default",), ("frs1",), *columns)
+        tables = (from_rows([score_row("A", "frs1", 1, 0.6, 0.7)]), read_scores_csv(path), built)
+        for table in tables:
+            for name in ("morph", "morph_type", "frs", "attempt", "scores"):
+                assert not getattr(table, name).flags.writeable
+            with pytest.raises(ValueError):
+                table.attempt[0] = 0
+            with pytest.raises(ValueError):
+                table.scores[0, 0] = np.nan
+        assert all(a is b for a, b in zip(
+            columns, (built.morph, built.morph_type, built.frs, built.attempt, built.scores)))
+
     def test_n_morphs_counts_type_morph_rows(self):
         rows = [
             score_row("A", "frs1", 1, 0.9, 0.8, morph_type="t1"),
@@ -677,6 +698,19 @@ class TestCsvInterfaces:
             read_ftar_csv(path)
         assert "row 4" in str(err.value)
         assert "'frs1'" in str(err.value)
+
+    def test_ftar_rates_are_read_only(self):
+        # a write into rates would skip the entry check: 7.0 gave G-MAP -600
+        rows = [score_row("A", frs, 1, 0.9, 0.9) for frs in ("A", "B")]
+        thresholds = [FrsThreshold(frs, 0.5, 0.001) for frs in ("A", "B")]
+        ftar = FtarTable({(1, "A"): 0.1})
+        assert gmap(from_rows(rows), thresholds, ftar) == pytest.approx(90.0)
+        with pytest.raises(TypeError):
+            ftar.rates[(1, "A")] = 7.0
+        assert gmap(from_rows(rows), thresholds, ftar) == pytest.approx(90.0)
+        assert ftar.rates == {(1, "A"): 0.1}
+        assert ftar == FtarTable({(1, "A"): 0.1})
+        assert pickle.loads(pickle.dumps(ftar)) == copy.deepcopy(ftar) == ftar
 
     def test_ftar_range_validation(self):
         with pytest.raises(ValueError):
