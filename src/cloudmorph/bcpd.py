@@ -46,6 +46,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from . import kernel
+from ._record import Record
 from .cloudio import PointCloud, SimilarityTransform, denormalize, normalize
 from .errors import DegenerateGeometryError, ShapeMismatchError
 from .kernel import GramMatrix, build_gram, field_posterior
@@ -108,15 +109,8 @@ class RegistrationParams:
             raise ValueError("max_iters must be at least 1")
 
 
-def _freeze_arrays(record) -> None:
-    """Make every array field of a dataclass instance read-only, in place."""
-    for value in vars(record).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-
-
 @dataclass(frozen=True)
-class RegistrationProblem:
+class RegistrationProblem(Record):
     """What every iteration reads but none changes, for M source and N
     target points; built once per registration by :func:`build_problem`.
 
@@ -131,9 +125,6 @@ class RegistrationProblem:
                       log-densities read the first four columns, and it sums
                       all seven weighted by the match probabilities.
     target_centered_sq: (N,) |x_n - center|^2.
-
-    Every array is made read-only, not copied, when the problem is built,
-    as a state's arrays are.
     """
 
     source: PointCloud
@@ -143,9 +134,6 @@ class RegistrationProblem:
     center: np.ndarray
     target_table: np.ndarray
     target_centered_sq: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_arrays(self)
 
 
 def build_problem(
@@ -178,7 +166,7 @@ def build_problem(
 
 
 @dataclass(frozen=True)
-class RegistrationState:
+class RegistrationState(Record):
     """All per-iteration variables, for M source and N target points.
 
     The M x N match probabilities P (column sums <= 1, the remainder being
@@ -203,8 +191,6 @@ class RegistrationState:
     sigma2:           residual variance, floored at SIGMA2_FLOOR.
     transform:        current similarity transform.
     moved_source:     (M, 3) source points after displacement + transform.
-
-    Every array is made read-only, not copied, when the state is built.
     """
 
     source_mass: np.ndarray
@@ -217,9 +203,6 @@ class RegistrationState:
     sigma2: float
     transform: SimilarityTransform
     moved_source: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_arrays(self)
 
 
 def init_state(problem: RegistrationProblem) -> RegistrationState:

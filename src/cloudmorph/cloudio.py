@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     DegenerateCloudError,
     IoFailureError,
@@ -50,7 +51,7 @@ _COLOR_TYPES = {"uchar", "uint8"}
 
 
 @dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Record):
     """Vertices with parallel per-vertex RGB colors.
 
     vertices: (N, 3) float64 coordinates, finite.
@@ -80,17 +81,16 @@ class PointCloud:
             )
         if not np.all((c >= 0.0) & (c <= 1.0)):
             raise ValueError("color channels must lie in [0, 1]")
-        v.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "colors", c)
+        super().__post_init__()
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
 
 @dataclass(frozen=True)
-class SimilarityTransform:
+class SimilarityTransform(Record):
     """Uniform scale, proper rotation, and translation: p -> s * R @ p + t."""
 
     scale: float
@@ -110,11 +110,10 @@ class SimilarityTransform:
             raise ValueError("rotation must be orthogonal within 1e-8")
         if abs(float(np.linalg.det(r)) - 1.0) > 1e-8:
             raise ValueError("rotation must be proper (det +1)")
-        r.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        super().__post_init__()
 
     @classmethod
     def identity(cls) -> "SimilarityTransform":
@@ -308,7 +307,7 @@ def _assemble(cols: dict, path: Path) -> tuple[np.ndarray, np.ndarray]:
     rgb = np.column_stack([cols["red"], cols["green"], cols["blue"]])
     if not np.all(np.isfinite(verts)):
         raise NonFiniteCoordinateError(f"{path}: non-finite vertex coordinate")
-    if rgb.min() < 0.0 or rgb.max() > 255.0:
+    if not np.all(rgb == np.clip(np.rint(rgb), 0.0, 255.0)):
         raise MalformedHeaderError(f"{path}: color value outside the 8-bit range")
     return verts, rgb / 255.0
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import issymmetric, lapack, solve_triangular
 
+from ._record import Record
 from .errors import NotPositiveDefiniteError, ProblemTooLargeError
 
 # The working-set budget, in elements, of every blocked loop over two point
@@ -58,7 +59,7 @@ def nearest_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Record):
     """Pairwise Gaussian kernel evaluations over a single point set.
 
     Exactly symmetric with a diagonal of exactly 1.0, as :func:`build_gram`
@@ -82,8 +83,8 @@ class GramMatrix:
             raise ValueError("Gram matrix must be exactly symmetric")
         if not np.all(np.diagonal(v) == 1.0):
             raise ValueError("Gram matrix must have a unit diagonal")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        super().__post_init__()
 
 
 def build_gram(points, beta: float) -> GramMatrix:

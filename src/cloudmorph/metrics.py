@@ -39,6 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ._record import Record
 from .errors import EmptyScoresError, MissingThresholdError, RaggedDataError
 
 QUADRANTS = ("I", "II", "III", "IV")
@@ -47,7 +48,7 @@ _QUADRANT_INDEX = (2, 3, 1, 0)
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreTable:
+class ScoreTable(Record):
     """Two-subject score rows held column by column.
 
     ``morph``, ``morph_type`` and ``frs`` hold int32 codes into the name
@@ -66,10 +67,6 @@ class ScoreTable:
     frs: np.ndarray
     attempt: np.ndarray
     scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        for column in (self.morph, self.morph_type, self.frs, self.attempt, self.scores):
-            column.setflags(write=False)
 
     @classmethod
     def _from_rows(cls, rows) -> ScoreTable:
@@ -142,7 +139,7 @@ class FtarTable:
         object.__setattr__(self, "rates", MappingProxyType(rates))
 
     def __reduce__(self):
-        # a mapping proxy cannot be pickled, so pickle and copy rebuild the table
+        # the one record with its own rebuild arguments: a mapping proxy cannot be pickled
         return FtarTable, (dict(self.rates),)
 
     def get(self, attempt_index: int, frs_id: str) -> float:

@@ -95,6 +95,13 @@ READER_ERRORS = {
     "color-above-255": (
         ASCII_HEADER, b"0 0 0 1 256 3\n",
         MalformedHeaderError, "color value outside the 8-bit range"),
+    # an 8-bit channel holds integers only; a NaN fails here, with the path
+    "color-fractional": (
+        ASCII_HEADER, b"0 0 0 1 12.5 3\n",
+        MalformedHeaderError, "color value outside the 8-bit range"),
+    "color-nan": (
+        ASCII_HEADER, b"0 0 0 1 nan 3\n",
+        MalformedHeaderError, "color value outside the 8-bit range"),
 }
 
 
